@@ -94,6 +94,33 @@ impl ParsedArgs {
         }
     }
 
+    /// On/off flag with a default: `0` is off, `1` is on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] for any other value.
+    pub fn get_bool(&self, key: &str, default: bool) -> Result<bool, ArgError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(raw) => Err(ArgError(format!("flag --{key}: expected 0 or 1, got {raw:?}"))),
+        }
+    }
+
+    /// Errors if any of `keys` was given: flags for fields the command
+    /// does not take are unknown flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] naming the first such flag.
+    pub fn reject(&self, keys: &[&str]) -> Result<(), ArgError> {
+        match keys.iter().find(|key| self.flags.contains_key(**key)) {
+            Some(key) => Err(ArgError(format!("unknown flag --{key}"))),
+            None => Ok(()),
+        }
+    }
+
     /// Errors if any provided flag was never consumed by a getter —
     /// catches typos like `--tirals`.
     ///

@@ -1,13 +1,12 @@
 //! Command implementations for the `sos` CLI.
 
 use crate::args::{ArgError, ParsedArgs};
-use sos_analysis::{OneBurstAnalysis, SuccessiveAnalysis};
-use sos_core::{
-    AttackBudget, AttackConfig, MappingDegree, NodeDistribution, PathEvaluator, Scenario,
-    SuccessiveParams, SystemParams,
+use sos_core::{AttackBudget, MappingDegree, NodeDistribution, SuccessiveParams, SystemParams};
+use sos_serve::spec::{
+    parse_distribution, parse_evaluator, parse_faults, parse_mapping, parse_retry, parse_transport,
+    SimSpec, SpecError,
 };
-use sos_sim::engine::{Simulation, SimulationConfig, TransportKind};
-use sos_sim::routing::RoutingPolicy;
+use sos_sim::engine::{Simulation, TransportKind};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -74,17 +73,17 @@ SIMULATE FLAGS:
     --retry SPEC         per-hop retries when faults are on: a bare
                          attempt count (4) or attempts=4,backoff=1,
                          deadline=64 (backoff/deadline in sim ticks)
-    --progress 1         live progress line on stderr (points, trials,
-                         trials/s, worker utilization, cache hits, ETA)
+    --progress 0|1       live progress line on stderr (points, trials,
+                         trials/s, worker utilization, cache hits, ETA) [0]
     --telemetry-out F    periodic machine-readable telemetry snapshots:
                          `.prom`/`.txt` = Prometheus text exposition
                          rewritten in place, anything else = one JSON
                          line appended per interval (JSONL)
-    --json 1             machine-readable {fingerprint, result} output,
+    --json 0|1           machine-readable {fingerprint, result} output,
                          byte-identical to what `sos client simulate`
                          prints for the same flags; runs through the
                          sweep executor so --cache answers repeats
-                         from the cache file (cache hit/miss on stderr)
+                         from the cache file (cache hit/miss on stderr) [0]
     --cache F            (with --json 1) persistent sweep cache file,
                          same format as `figure --cache` and
                          `serve --cache`
@@ -98,7 +97,7 @@ simulate workload, every shared + simulate flag above):
     --routes K           (grid) routes per trial            [20]
     --seed S             (grid) master seed                 [13]
     --interval-ms MS     reporter snapshot interval         [500]
-    --telemetry 0        disable the telemetry plane (reference run:
+    --telemetry 0|1      0 disables the telemetry plane (reference run:
                          results must be byte-identical)    [1]
     --results-out F      write the workload's numeric results to F
                          (diff against a --telemetry 0 run)
@@ -109,13 +108,15 @@ simulate workload, every shared + simulate flag above):
                          chrome://tracing
     --cache F            (grid) persistent sweep cache, as `figure`
 
-TRACE FLAGS (plus the shared topology flags and --routes/--seed/
---policy/--transport/--threads/--trace-out/--metrics-out/--faults/
---retry above):
+TRACE FLAGS (plus the shared topology flags and --seed/--policy/
+--transport/--threads/--trace-out/--metrics-out/--faults/--retry above;
+the preset sets the attack, so --model/--nt/--nc/--rounds/--pe/
+--evaluator are rejected):
     --scenario P         attack preset: moderate-flooder | heavy-flooder |
                          paper-intelligent | patient-intruder | balanced
                          [paper-intelligent]
     --trials T           attacked overlays             [3]
+    --routes K           routes per trial              [50]
 
 FIGURE FLAGS:
     --cache F            persistent sweep-result cache file: Monte Carlo
@@ -152,10 +153,10 @@ trace prints the daemon's flight recorder as Chrome trace-event JSON):
     --addr A             daemon address                [127.0.0.1:7070]
     --specs F            (sweep) JSON file holding an array of spec
                          objects (field names as in PROTOCOL.md)
-    --timing 1           (simulate) print the client-observed RTT next
+    --timing 0|1         (simulate) print the client-observed RTT next
                          to the server-attributed timing breakdown
                          (queue/lock/phase ns) on stderr; stdout is
-                         unchanged
+                         unchanged                          [0]
     --retries N          (all ops except shutdown) attempts per request:
                          reconnect-and-resend on transport errors,
                          honor retry_after_ms on `busy` shedding  [1]
@@ -167,10 +168,12 @@ trace prints the daemon's flight recorder as Chrome trace-event JSON):
                          a sweep stops cooperatively between points
 
 OTHER FLAGS:
-    --json 1             (analyze) machine-readable output
+    --json 0|1           (analyze) machine-readable output   [0]
     --top K              (optimize) rows to print            [10]
     --max-latency T      (optimize) clean-latency constraint
-    --pareto-only 1      (frontier) hide dominated designs
+    --pareto-only 0|1    (frontier) hide dominated designs   [0]
+    --transport T        (frontier) direct | chord: chord prices each
+                         logical hop at the Chord stretch    [direct]
     --step S             (tornado) relative perturbation     [0.25]
     --threats a,b,…      (advise) threat subset: moderate-flooder |
                          heavy-flooder | paper-intelligent |
@@ -245,87 +248,42 @@ where
     }
 }
 
-fn parse_mapping(raw: &str) -> Result<MappingDegree, ArgError> {
-    match raw {
-        "one-to-one" | "one-to-1" => Ok(MappingDegree::ONE_TO_ONE),
-        "one-to-half" => Ok(MappingDegree::OneToHalf),
-        "one-to-all" => Ok(MappingDegree::OneToAll),
-        other => {
-            if let Some(k) = other.strip_prefix("one-to-") {
-                let k: u64 = k.parse().map_err(|_| {
-                    ArgError(format!("unrecognized mapping `{other}`"))
-                })?;
-                Ok(MappingDegree::OneTo(k))
-            } else {
-                Err(ArgError(format!(
-                    "unrecognized mapping `{other}` (try one-to-one, one-to-5, one-to-half, one-to-all)"
-                )))
-            }
-        }
-    }
-}
+/// Spec flags that configure the Monte Carlo run itself; the
+/// closed-form commands reject them.
+const RUN_FLAGS: [&str; 7] =
+    ["trials", "routes", "seed", "policy", "transport", "faults", "retry"];
 
-fn parse_distribution(raw: &str) -> Result<NodeDistribution, ArgError> {
-    match raw {
-        "even" => Ok(NodeDistribution::Even),
-        "increasing" => Ok(NodeDistribution::Increasing),
-        "decreasing" => Ok(NodeDistribution::Decreasing),
-        other => Err(ArgError(format!(
-            "unrecognized distribution `{other}` (even | increasing | decreasing)"
-        ))),
-    }
-}
+/// Spec flags that configure the attack; `trace` and `advise` take
+/// their attacks from threat presets and reject them.
+const ATTACK_FLAGS: [&str; 6] = ["model", "nt", "nc", "rounds", "pe", "evaluator"];
 
-fn parse_evaluator(raw: &str) -> Result<PathEvaluator, ArgError> {
-    match raw {
-        "binomial" => Ok(PathEvaluator::Binomial),
-        "hypergeometric" => Ok(PathEvaluator::Hypergeometric),
-        other => Err(ArgError(format!(
-            "unrecognized evaluator `{other}` (binomial | hypergeometric)"
-        ))),
-    }
-}
-
-struct CommonConfig {
-    scenario: Scenario,
-    attack: AttackConfig,
-    evaluator: PathEvaluator,
-}
-
-fn common_config(args: &ParsedArgs) -> Result<CommonConfig, Box<dyn std::error::Error>> {
-    let overlay_nodes: u64 = args.get_or("overlay-nodes", 10_000)?;
-    let sos_nodes: u64 = args.get_or("sos-nodes", 100)?;
-    let p_b: f64 = args.get_or("pb", 0.5)?;
-    let filters: u64 = args.get_or("filters", 10)?;
-    let layers: usize = args.get_or("layers", 3)?;
-    let mapping = parse_mapping(args.get("mapping").unwrap_or("one-to-2"))?;
-    let distribution = parse_distribution(args.get("distribution").unwrap_or("even"))?;
-    let evaluator = parse_evaluator(args.get("evaluator").unwrap_or("binomial"))?;
-
-    let scenario = Scenario::builder()
-        .system(SystemParams::new(overlay_nodes, sos_nodes, p_b)?)
-        .layers(layers)
-        .distribution(distribution)
-        .mapping(mapping)
-        .filters(filters)
-        .build()?;
-
-    let budget = AttackBudget::new(args.get_or("nt", 200)?, args.get_or("nc", 2_000)?);
-    let attack = match args.get("model").unwrap_or("successive") {
-        "one-burst" => AttackConfig::OneBurst { budget },
-        "successive" => AttackConfig::Successive {
-            budget,
-            params: SuccessiveParams::new(
-                args.get_or("rounds", 3)?,
-                args.get_or("pe", 0.2)?,
-            )?,
-        },
-        other => return Err(ArgError(format!("unknown model `{other}`")).into()),
-    };
-    Ok(CommonConfig {
-        scenario,
-        attack,
-        evaluator,
+/// Maps the experiment flags onto a [`SimSpec`], starting from the
+/// command's own defaults in `base`. This is the only map from flag
+/// name to spec field: `sos analyze/simulate/...` and
+/// `sos client analyze/simulate` describe a configuration through it,
+/// and [`SimSpec`] turns it into the run, exactly as `sosd` does.
+fn spec_from_args(args: &ParsedArgs, base: SimSpec) -> Result<SimSpec, ArgError> {
+    Ok(SimSpec {
+        overlay_nodes: args.get_or("overlay-nodes", base.overlay_nodes)?,
+        sos_nodes: args.get_or("sos-nodes", base.sos_nodes)?,
+        pb: args.get_or("pb", base.pb)?,
+        filters: args.get_or("filters", base.filters)?,
+        layers: args.get_or("layers", base.layers)?,
+        mapping: args.get("mapping").map_or(base.mapping, str::to_string),
+        distribution: args.get("distribution").map_or(base.distribution, str::to_string),
+        evaluator: args.get("evaluator").map_or(base.evaluator, str::to_string),
+        model: args.get("model").map_or(base.model, str::to_string),
+        nt: args.get_or("nt", base.nt)?,
+        nc: args.get_or("nc", base.nc)?,
+        rounds: args.get_or("rounds", base.rounds)?,
+        pe: args.get_or("pe", base.pe)?,
+        trials: args.get_or("trials", base.trials)?,
+        routes: args.get_or("routes", base.routes)?,
+        seed: args.get_or("seed", base.seed)?,
+        policy: args.get("policy").map_or(base.policy, str::to_string),
+        transport: args.get("transport").map_or(base.transport, str::to_string),
+        faults: args.get("faults").map(str::to_string).or(base.faults),
+        retry: args.get("retry").map(str::to_string).or(base.retry),
     })
 }
 
@@ -333,48 +291,24 @@ fn analyze(
     args: &ParsedArgs,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = common_config(args)?;
-    let json = args.get("json").is_some();
+    args.reject(&RUN_FLAGS)?;
+    let spec = spec_from_args(args, SimSpec::default())?;
+    let json = args.get_bool("json", false)?;
     args.reject_unknown()?;
-    let (ps, layer_ps, broken, congested) = match cfg.attack {
-        AttackConfig::OneBurst { budget } => {
-            let report = OneBurstAnalysis::new(&cfg.scenario, budget)?.run();
-            (
-                report.success_probability(cfg.evaluator).value(),
-                report.layer_successes(cfg.evaluator),
-                report.total_broken,
-                report.congested.iter().sum::<f64>(),
-            )
-        }
-        AttackConfig::Successive { budget, params } => {
-            let report = SuccessiveAnalysis::new(&cfg.scenario, budget, params)?.run();
-            (
-                report.success_probability(cfg.evaluator).value(),
-                report.layer_successes(cfg.evaluator),
-                report.total_broken,
-                report.congested.iter().sum::<f64>(),
-            )
-        }
-    };
+    let scenario = spec.scenario()?;
+    let attack = spec.attack()?;
+    let evaluator = spec.evaluator()?;
+    let outcome = sos_serve::analyze_outcome(&scenario, &attack, evaluator)?;
     if json {
-        // Machine-readable manifest + result (audit trail for batch
-        // experiment runners).
-        let doc = serde_json::json!({
-            "scenario": cfg.scenario,
-            "attack": cfg.attack,
-            "evaluator": cfg.evaluator,
-            "ps": ps,
-            "per_layer_success": layer_ps,
-            "expected_broken": broken,
-            "expected_congested": congested,
-        });
+        let doc = sos_serve::analyze_doc(&scenario, &attack, evaluator, &outcome);
         writeln!(out, "{}", serde_json::to_string_pretty(&doc)?)?;
         return Ok(());
     }
-    writeln!(out, "model: {}", cfg.attack.model_name())?;
-    writeln!(out, "evaluator: {}", cfg.evaluator)?;
-    writeln!(out, "layer sizes: {:?}", cfg.scenario.topology().layer_sizes())?;
-    writeln!(out, "P_S: {ps:.6}")?;
+    writeln!(out, "model: {}", attack.model_name())?;
+    writeln!(out, "evaluator: {evaluator}")?;
+    writeln!(out, "layer sizes: {:?}", scenario.topology().layer_sizes())?;
+    writeln!(out, "P_S: {:.6}", outcome.ps)?;
+    let layer_ps = &outcome.per_layer;
     for (i, p) in layer_ps.iter().enumerate() {
         let name = if i == layer_ps.len() - 1 {
             "filters".to_string()
@@ -383,146 +317,25 @@ fn analyze(
         };
         writeln!(out, "  P_{} ({name}): {p:.6}", i + 1)?;
     }
-    writeln!(out, "expected broken-in nodes: {broken:.2}")?;
-    writeln!(out, "expected congested nodes: {congested:.2}")?;
+    writeln!(out, "expected broken-in nodes: {:.2}", outcome.expected_broken)?;
+    writeln!(out, "expected congested nodes: {:.2}", outcome.expected_congested)?;
     Ok(())
 }
 
-fn parse_policy(raw: &str) -> Result<RoutingPolicy, ArgError> {
-    match raw {
-        "random-good" => Ok(RoutingPolicy::RandomGood),
-        "first-good" => Ok(RoutingPolicy::FirstGood),
-        "backtracking" => Ok(RoutingPolicy::Backtracking),
-        other => Err(ArgError(format!("unknown policy `{other}`"))),
-    }
-}
-
-fn parse_transport(raw: &str) -> Result<TransportKind, ArgError> {
-    match raw {
-        "direct" => Ok(TransportKind::Direct),
-        "chord" => Ok(TransportKind::Chord),
-        other => Err(ArgError(format!("unknown transport `{other}`"))),
-    }
-}
-
-/// Parses `--faults`: either a bare loss rate (`0.2`) or a comma list
-/// of `key=value` pairs (`loss=0.2,delay=0.1,delay-ticks=4,crash=0.01,
-/// slow=0.05,slow-ticks=2,misroute=0.02,seed=7`).
-fn parse_faults(raw: &str) -> Result<sos_faults::FaultConfig, ArgError> {
-    let mut cfg = sos_faults::FaultConfig::none();
-    if let Ok(loss) = raw.parse::<f64>() {
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(ArgError(format!("--faults: loss rate {loss} not in [0, 1]")));
-        }
-        return Ok(cfg.loss(loss));
-    }
-    let mut delay = (0.0f64, 4u64);
-    let mut slow = (0.0f64, 2u64);
-    for pair in raw.split(',') {
-        let (key, value) = pair.split_once('=').ok_or_else(|| {
-            ArgError(format!(
-                "--faults: expected key=value, got `{pair}` \
-                 (keys: loss delay delay-ticks crash slow slow-ticks misroute seed)"
-            ))
-        })?;
-        let rate = |v: &str| -> Result<f64, ArgError> {
-            let r: f64 = v
-                .parse()
-                .map_err(|e| ArgError(format!("--faults: {key}={v}: {e}")))?;
-            if !(0.0..=1.0).contains(&r) {
-                return Err(ArgError(format!("--faults: {key}={r} not in [0, 1]")));
-            }
-            Ok(r)
-        };
-        let ticks = |v: &str| -> Result<u64, ArgError> {
-            v.parse()
-                .map_err(|e| ArgError(format!("--faults: {key}={v}: {e}")))
-        };
-        match key.trim() {
-            "loss" => cfg = cfg.loss(rate(value)?),
-            "delay" => delay.0 = rate(value)?,
-            "delay-ticks" => delay.1 = ticks(value)?,
-            "crash" => cfg = cfg.crash(rate(value)?),
-            "slow" => slow.0 = rate(value)?,
-            "slow-ticks" => slow.1 = ticks(value)?,
-            "misroute" => cfg = cfg.misroute(rate(value)?),
-            "seed" => cfg = cfg.seed(ticks(value)?),
-            other => {
-                return Err(ArgError(format!(
-                    "--faults: unknown key `{other}` \
-                     (keys: loss delay delay-ticks crash slow slow-ticks misroute seed)"
-                )))
-            }
-        }
-    }
-    Ok(cfg.delay(delay.0, delay.1).slow(slow.0, slow.1))
-}
-
-/// Parses `--retry`: either a bare attempt count (`4`) or a comma list
-/// of `key=value` pairs (`attempts=4,backoff=1,deadline=64`).
-fn parse_retry(raw: &str) -> Result<sos_faults::RetryPolicy, ArgError> {
-    if let Ok(attempts) = raw.parse::<u32>() {
-        if attempts == 0 {
-            return Err(ArgError("--retry: need at least one attempt".into()));
-        }
-        return Ok(sos_faults::RetryPolicy::new(attempts, 1, u64::MAX));
-    }
-    let mut attempts = 1u32;
-    let mut backoff = 1u64;
-    let mut deadline = u64::MAX;
-    for pair in raw.split(',') {
-        let (key, value) = pair.split_once('=').ok_or_else(|| {
-            ArgError(format!(
-                "--retry: expected key=value, got `{pair}` (keys: attempts backoff deadline)"
-            ))
-        })?;
-        match key.trim() {
-            "attempts" => {
-                attempts = value
-                    .parse()
-                    .map_err(|e| ArgError(format!("--retry: attempts={value}: {e}")))?;
-                if attempts == 0 {
-                    return Err(ArgError("--retry: need at least one attempt".into()));
-                }
-            }
-            "backoff" => {
-                backoff = value
-                    .parse()
-                    .map_err(|e| ArgError(format!("--retry: backoff={value}: {e}")))?;
-            }
-            "deadline" => {
-                deadline = value
-                    .parse()
-                    .map_err(|e| ArgError(format!("--retry: deadline={value}: {e}")))?;
-            }
-            other => {
-                return Err(ArgError(format!(
-                    "--retry: unknown key `{other}` (keys: attempts backoff deadline)"
-                )))
-            }
-        }
-    }
-    Ok(sos_faults::RetryPolicy::new(attempts, backoff, deadline))
-}
-
-/// Reads the optional fault-plane flags shared by `simulate` and
-/// `trace`.
-fn fault_flags(
-    args: &ParsedArgs,
-) -> Result<(sos_faults::FaultConfig, sos_faults::RetryPolicy), ArgError> {
-    let faults = match args.get("faults") {
-        None => sos_faults::FaultConfig::none(),
-        Some(raw) => parse_faults(raw)?,
+/// One-line summary of the spec's fault plane for command output;
+/// `None` when the plane is off.
+fn describe_faults(spec: &SimSpec) -> Result<Option<String>, SpecError> {
+    let Some(raw) = &spec.faults else {
+        return Ok(None);
     };
-    let retry = match args.get("retry") {
+    let faults = parse_faults(raw)?;
+    if faults.is_none() {
+        return Ok(None);
+    }
+    let retry = match &spec.retry {
         None => sos_faults::RetryPolicy::none(),
         Some(raw) => parse_retry(raw)?,
     };
-    Ok((faults, retry))
-}
-
-/// One-line summary of the active fault plane for command output.
-fn describe_faults(faults: &sos_faults::FaultConfig, retry: &sos_faults::RetryPolicy) -> String {
     let mut parts = Vec::new();
     if faults.loss_rate > 0.0 {
         parts.push(format!("loss={}", faults.loss_rate));
@@ -549,7 +362,7 @@ fn describe_faults(faults: &sos_faults::FaultConfig, retry: &sos_faults::RetryPo
             retry.max_attempts, retry.backoff_base, retry.deadline
         )
     };
-    format!("{} ({retry_part})", parts.join(" "))
+    Ok(Some(format!("{} ({retry_part})", parts.join(" "))))
 }
 
 /// Writes the requested observability sinks, reporting each file on
@@ -596,7 +409,7 @@ fn threads_flag(args: &ParsedArgs) -> Result<Option<usize>, ArgError> {
 /// reporter options when either output is requested (`--progress 0`
 /// and `--telemetry-out` alone still start the reporter for the sink).
 fn reporter_flags(args: &ParsedArgs) -> Result<Option<sos_observe::ReporterOptions>, ArgError> {
-    let progress = args.get("progress").is_some_and(|v| v != "0");
+    let progress = args.get_bool("progress", false)?;
     let telemetry_out = args.get("telemetry-out").map(std::path::PathBuf::from);
     let interval_ms: u64 = args.get_or("interval-ms", 500)?;
     if !progress && telemetry_out.is_none() {
@@ -631,7 +444,7 @@ fn profile(
     use sos_observe::{ProgressReporter, ReporterOptions};
 
     let workload = args.get("workload").unwrap_or("grid").to_string();
-    let telemetry_on: u64 = args.get_or("telemetry", 1)?;
+    let telemetry_on = args.get_bool("telemetry", true)?;
     let results_out = args.get("results-out").map(str::to_string);
     let spans_out = args.get("spans-out").map(str::to_string);
     let reporter_opts = reporter_flags(args)?;
@@ -648,7 +461,7 @@ fn profile(
     // The reporter starts before the workload so the interval sink
     // sees it live; `--telemetry 0` gives the reference run whose
     // numeric results must be byte-identical.
-    let reporter = if telemetry_on != 0 {
+    let reporter = if telemetry_on {
         Some(ProgressReporter::start(
             reporter_opts.clone().unwrap_or(ReporterOptions {
                 progress: false,
@@ -691,25 +504,10 @@ fn profile(
             text
         }
         "simulate" => {
-            let cfg = common_config(args)?;
-            let trials: u64 = args.get_or("trials", 100)?;
-            let routes: u64 = args.get_or("routes", 100)?;
-            let seed: u64 = args.get_or("seed", 0)?;
-            let policy = parse_policy(args.get("policy").unwrap_or("random-good"))?;
-            let transport = parse_transport(args.get("transport").unwrap_or("direct"))?;
-            let (faults, retry) = fault_flags(args)?;
+            let spec = spec_from_args(args, SimSpec::default())?;
             args.reject_unknown()?;
-            let result = Simulation::new(
-                SimulationConfig::new(cfg.scenario, cfg.attack)
-                    .trials(trials)
-                    .routes_per_trial(routes)
-                    .seed(seed)
-                    .policy(policy)
-                    .transport(transport)
-                    .faults(faults)
-                    .retry(retry),
-            )
-            .run_parallel(threads.unwrap_or_else(sos_sim::num_threads));
+            let result = Simulation::new(spec.sim_config()?)
+                .run_parallel(threads.unwrap_or_else(sos_sim::num_threads));
             let mut text = String::from(
                 "point,successes,attempts,ps,realized_hypergeometric,realized_binomial,mean_hops\n",
             );
@@ -758,20 +556,15 @@ fn simulate(
     args: &ParsedArgs,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = common_config(args)?;
-    let trials: u64 = args.get_or("trials", 100)?;
-    let routes: u64 = args.get_or("routes", 100)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("random-good"))?;
-    let transport = parse_transport(args.get("transport").unwrap_or("direct"))?;
-    let (faults, retry) = fault_flags(args)?;
+    let spec = spec_from_args(args, SimSpec::default())?;
     let trace_out = args.get("trace-out").map(str::to_string);
     let metrics_out = args.get("metrics-out").map(str::to_string);
     let threads = threads_flag(args)?;
     let reporter_opts = reporter_flags(args)?;
-    let json_out = args.get("json").is_some_and(|v| v != "0");
+    let json_out = args.get_bool("json", false)?;
     let cache = args.get("cache").map(str::to_string);
     args.reject_unknown()?;
+    let config = spec.sim_config()?;
 
     if json_out {
         if trace_out.is_some() || metrics_out.is_some() {
@@ -781,14 +574,6 @@ fn simulate(
             .into());
         }
         let reporter = reporter_opts.map(sos_observe::ProgressReporter::start);
-        let config = SimulationConfig::new(cfg.scenario, cfg.attack)
-            .trials(trials)
-            .routes_per_trial(routes)
-            .seed(seed)
-            .policy(policy)
-            .transport(transport)
-            .faults(faults)
-            .retry(retry);
         let mut exec = match threads {
             Some(t) => sos_sim::SweepExecutor::with_threads(t),
             None => sos_sim::SweepExecutor::new(),
@@ -823,16 +608,7 @@ fn simulate(
     // Live telemetry observes but never steers: counts are identical
     // with the reporter on or off.
     let reporter = reporter_opts.map(sos_observe::ProgressReporter::start);
-    let sim = Simulation::new(
-        SimulationConfig::new(cfg.scenario, cfg.attack)
-            .trials(trials)
-            .routes_per_trial(routes)
-            .seed(seed)
-            .policy(policy)
-            .transport(transport)
-            .faults(faults)
-            .retry(retry),
-    );
+    let sim = Simulation::new(config);
     let result = if trace_out.is_some() || metrics_out.is_some() {
         // Traced runs default to one thread so the recorded event order
         // is reproducible run to run; an explicit --threads opts into
@@ -858,12 +634,12 @@ fn simulate(
         reporter.finish();
     }
     let ci = result.confidence_interval(0.95);
-    writeln!(out, "model: {}", cfg.attack.model_name())?;
-    writeln!(out, "policy: {policy}  transport: {}", transport.label())?;
-    if !faults.is_none() {
-        writeln!(out, "faults: {}", describe_faults(&faults, &retry))?;
+    writeln!(out, "model: {}", sim.config().attack().model_name())?;
+    writeln!(out, "policy: {}  transport: {}", spec.policy, spec.transport)?;
+    if let Some(faults) = describe_faults(&spec)? {
+        writeln!(out, "faults: {faults}")?;
     }
-    writeln!(out, "trials: {trials}  routes/trial: {routes}  seed: {seed}")?;
+    writeln!(out, "trials: {}  routes/trial: {}  seed: {}", spec.trials, spec.routes, spec.seed)?;
     writeln!(out, "empirical P_S: {:.6}", result.success_rate())?;
     writeln!(out, "95% CI: [{:.6}, {:.6}]", ci.lower, ci.upper)?;
     writeln!(
@@ -901,45 +677,15 @@ fn trace_cmd(
              paper-intelligent | patient-intruder | balanced)"
         ))
     })?;
-
-    let overlay_nodes: u64 = args.get_or("overlay-nodes", 10_000)?;
-    let sos_nodes: u64 = args.get_or("sos-nodes", 100)?;
-    let p_b: f64 = args.get_or("pb", 0.5)?;
-    let filters: u64 = args.get_or("filters", 10)?;
-    let layers: usize = args.get_or("layers", 3)?;
-    let mapping = parse_mapping(args.get("mapping").unwrap_or("one-to-2"))?;
-    let distribution = parse_distribution(args.get("distribution").unwrap_or("even"))?;
-    let trials: u64 = args.get_or("trials", 3)?;
-    let routes: u64 = args.get_or("routes", 50)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let policy = parse_policy(args.get("policy").unwrap_or("random-good"))?;
-    let transport = parse_transport(args.get("transport").unwrap_or("direct"))?;
-    let (faults, retry) = fault_flags(args)?;
+    args.reject(&ATTACK_FLAGS)?;
+    let spec = spec_from_args(args, SimSpec { trials: 3, routes: 50, ..SimSpec::default() })?;
     let trace_out = args.get("trace-out").map(str::to_string);
     let metrics_out = args.get("metrics-out").map(str::to_string);
     let threads = threads_flag(args)?;
     args.reject_unknown()?;
 
-    let system = SystemParams::new(overlay_nodes, sos_nodes, p_b)?;
-    let attack = preset.attack(&system);
-    let scenario = Scenario::builder()
-        .system(system)
-        .layers(layers)
-        .distribution(distribution)
-        .mapping(mapping)
-        .filters(filters)
-        .build()?;
-
-    let sim = Simulation::new(
-        SimulationConfig::new(scenario, attack)
-            .trials(trials)
-            .routes_per_trial(routes)
-            .seed(seed)
-            .policy(policy)
-            .transport(transport)
-            .faults(faults)
-            .retry(retry),
-    );
+    let attack = preset.attack(spec.scenario()?.system());
+    let sim = Simulation::new(spec.sim_config_with(attack)?);
     let recorder = sos_observe::MemoryRecorder::new();
     // One thread by default for a reproducible event stream; --threads
     // opts into the work-stealing traced runner (counts identical).
@@ -950,10 +696,10 @@ fn trace_cmd(
     let events = recorder.take_events();
 
     writeln!(out, "scenario: {} ({})", preset.label(), attack.model_name())?;
-    if !faults.is_none() {
-        writeln!(out, "faults: {}", describe_faults(&faults, &retry))?;
+    if let Some(faults) = describe_faults(&spec)? {
+        writeln!(out, "faults: {faults}")?;
     }
-    writeln!(out, "trials: {trials}  routes/trial: {routes}  seed: {seed}")?;
+    writeln!(out, "trials: {}  routes/trial: {}  seed: {}", spec.trials, spec.routes, spec.seed)?;
     writeln!(out)?;
     write!(out, "{}", sos_observe::render_timeline(&events))?;
     writeln!(out)?;
@@ -972,18 +718,18 @@ fn compare(
     args: &ParsedArgs,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = common_config(args)?;
-    let trials: u64 = args.get_or("trials", 100)?;
-    let routes: u64 = args.get_or("routes", 100)?;
-    let seed: u64 = args.get_or("seed", 0)?;
+    // `compare` runs the default policy and transport fault-free.
+    args.reject(&RUN_FLAGS[3..])?;
+    let spec = spec_from_args(args, SimSpec::default())?;
     args.reject_unknown()?;
+    let config = spec.sim_config()?;
     let row = sos_sim::compare_models(
         "cli",
-        &cfg.scenario,
-        cfg.attack,
-        trials,
-        routes,
-        seed,
+        config.scenario(),
+        *config.attack(),
+        spec.trials,
+        spec.routes,
+        spec.seed,
     )?;
     writeln!(out, "{}", sos_sim::ComparisonRow::CSV_HEADER)?;
     writeln!(out, "{row}")?;
@@ -1055,14 +801,14 @@ fn frontier(
     let overlay_nodes: u64 = args.get_or("overlay-nodes", 10_000)?;
     let sos_nodes: u64 = args.get_or("sos-nodes", 100)?;
     let p_b: f64 = args.get_or("pb", 0.5)?;
-    let chord = matches!(args.get("transport"), Some("chord"));
-    let pareto_only = args.get("pareto-only").is_some();
+    let transport = parse_transport(args.get("transport").unwrap_or("direct"))?;
+    let pareto_only = args.get_bool("pareto-only", false)?;
     args.reject_unknown()?;
 
     let system = SystemParams::new(overlay_nodes, sos_nodes, p_b)?;
     let model = LatencyModel {
         per_hop_mean: 1.0,
-        chord_transport: chord,
+        chord_transport: transport == TransportKind::Chord,
         discipline: ForwardingDiscipline::DelayAware,
     };
     let points = latency_resilience_frontier(
@@ -1119,7 +865,9 @@ fn advise(
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
     use sos_core::ThreatPreset;
-    let cfg = common_config(args)?;
+    args.reject(&RUN_FLAGS)?;
+    args.reject(&ATTACK_FLAGS)?;
+    let spec = spec_from_args(args, SimSpec::default())?;
     let threats: Vec<ThreatPreset> = match args.get("threats") {
         None => ThreatPreset::ALL.to_vec(),
         Some(raw) => raw
@@ -1135,12 +883,13 @@ fn advise(
             .collect::<Result<_, _>>()?,
     };
     args.reject_unknown()?;
-    let advice = sos_analysis::review(&cfg.scenario, &threats)?;
+    let scenario = spec.scenario()?;
+    let advice = sos_analysis::review(&scenario, &threats)?;
     writeln!(
         out,
         "reviewing L={} {:?} against {} threats",
-        cfg.scenario.topology().layer_count(),
-        cfg.scenario.topology().degrees(),
+        scenario.topology().layer_count(),
+        scenario.topology().degrees(),
         threats.len()
     )?;
     if advice.is_empty() {
@@ -1204,44 +953,6 @@ fn figure(
         writeln!(out, "{t}")?;
     }
     Ok(())
-}
-
-/// Maps the shared + simulate CLI flags onto a wire [`sos_serve::SimSpec`],
-/// so `sos client analyze/simulate --layers 4 ...` describes exactly the
-/// configuration the same flags describe to `sos analyze/simulate`.
-fn spec_from_args(args: &ParsedArgs) -> Result<sos_serve::SimSpec, ArgError> {
-    let d = sos_serve::SimSpec::default();
-    Ok(sos_serve::SimSpec {
-        overlay_nodes: args.get_or("overlay-nodes", d.overlay_nodes)?,
-        sos_nodes: args.get_or("sos-nodes", d.sos_nodes)?,
-        pb: args.get_or("pb", d.pb)?,
-        filters: args.get_or("filters", d.filters)?,
-        layers: args.get_or("layers", d.layers)?,
-        mapping: args.get("mapping").unwrap_or(d.mapping.as_str()).to_string(),
-        distribution: args
-            .get("distribution")
-            .unwrap_or(d.distribution.as_str())
-            .to_string(),
-        evaluator: args
-            .get("evaluator")
-            .unwrap_or(d.evaluator.as_str())
-            .to_string(),
-        model: args.get("model").unwrap_or(d.model.as_str()).to_string(),
-        nt: args.get_or("nt", d.nt)?,
-        nc: args.get_or("nc", d.nc)?,
-        rounds: args.get_or("rounds", d.rounds)?,
-        pe: args.get_or("pe", d.pe)?,
-        trials: args.get_or("trials", d.trials)?,
-        routes: args.get_or("routes", d.routes)?,
-        seed: args.get_or("seed", d.seed)?,
-        policy: args.get("policy").unwrap_or(d.policy.as_str()).to_string(),
-        transport: args
-            .get("transport")
-            .unwrap_or(d.transport.as_str())
-            .to_string(),
-        faults: args.get("faults").map(str::to_string),
-        retry: args.get("retry").map(str::to_string),
-    })
 }
 
 fn serve_cmd(
@@ -1328,7 +1039,7 @@ fn client_cmd(
             writeln!(out, "{}", serde_json::to_string_pretty(&body)?)?;
         }
         "analyze" => {
-            let spec = spec_from_args(args)?;
+            let spec = spec_from_args(args, SimSpec::default())?;
             args.reject_unknown()?;
             let mut body = client.analyze(&spec)?;
             // Drop the transport-level envelope fields so stdout stays
@@ -1339,8 +1050,8 @@ fn client_cmd(
             writeln!(out, "{}", serde_json::to_string_pretty(&body)?)?;
         }
         "simulate" => {
-            let spec = spec_from_args(args)?;
-            let timing_flag = args.get("timing").is_some_and(|v| v != "0");
+            let spec = spec_from_args(args, SimSpec::default())?;
+            let timing_flag = args.get_bool("timing", false)?;
             args.reject_unknown()?;
             let rtt_started = std::time::Instant::now();
             let body = client.simulate_with(&spec, deadline_ms)?;
@@ -1392,7 +1103,7 @@ fn client_cmd(
                 .ok_or_else(|| ArgError(format!("{path}: expected a JSON array of specs")))?;
             let specs = entries
                 .iter()
-                .map(sos_serve::SimSpec::from_value)
+                .map(SimSpec::from_value)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| ArgError(format!("{path}: {e}")))?;
             let body = client.sweep_with(&specs, deadline_ms)?;
@@ -1450,6 +1161,12 @@ mod tests {
         let mut buf = Vec::new();
         let code = run(args.iter().map(|s| s.to_string()), &mut buf);
         (code, String::from_utf8(buf).unwrap())
+    }
+
+    /// A temp file path unique to this process and test, so parallel
+    /// tests and concurrent test runs never share a file.
+    fn temp_path(test: &str, file: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("sos-cli-test-{}-{test}-{file}", std::process::id()))
     }
 
     /// A `Write` sink the test can read while another thread (the
@@ -1694,9 +1411,8 @@ mod tests {
 
     #[test]
     fn trace_writes_jsonl_and_csv_sinks() {
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("sos-cli-test-trace.jsonl");
-        let metrics_path = dir.join("sos-cli-test-metrics.csv");
+        let trace_path = temp_path("trace_writes_jsonl_and_csv_sinks", "trace.jsonl");
+        let metrics_path = temp_path("trace_writes_jsonl_and_csv_sinks", "metrics.csv");
         let (code, out) = run_to_string(&[
             "trace",
             "--overlay-nodes",
@@ -1725,7 +1441,7 @@ mod tests {
 
     #[test]
     fn simulate_with_metrics_out_writes_csv() {
-        let metrics_path = std::env::temp_dir().join("sos-cli-test-sim-metrics.csv");
+        let metrics_path = temp_path("simulate_with_metrics_out_writes_csv", "metrics.csv");
         let (code, out) = run_to_string(&[
             "simulate",
             "--overlay-nodes",
@@ -1829,7 +1545,7 @@ mod tests {
 
     #[test]
     fn trace_jsonl_contains_fault_events() {
-        let trace_path = std::env::temp_dir().join("sos-cli-test-fault-trace.jsonl");
+        let trace_path = temp_path("trace_jsonl_contains_fault_events", "trace.jsonl");
         let (code, out) = run_to_string(&[
             "trace",
             "--overlay-nodes",
@@ -1874,10 +1590,10 @@ mod tests {
 
     #[test]
     fn profile_grid_results_identical_with_telemetry_off() {
-        let dir = std::env::temp_dir();
-        let on_path = dir.join("sos-cli-test-profile-on.csv");
-        let off_path = dir.join("sos-cli-test-profile-off.csv");
-        let prom_path = dir.join("sos-cli-test-profile.prom");
+        let test = "profile_grid_results_identical_with_telemetry_off";
+        let on_path = temp_path(test, "on.csv");
+        let off_path = temp_path(test, "off.csv");
+        let prom_path = temp_path(test, "profile.prom");
         let (code, on_out) = run_to_string(&[
             "profile",
             "--workload",
@@ -1994,7 +1710,7 @@ mod tests {
         ];
         let (code, plain) = run_to_string(&base);
         assert_eq!(code, 0, "{plain}");
-        let jsonl = std::env::temp_dir().join("sos-cli-test-sim-telemetry.jsonl");
+        let jsonl = temp_path("simulate_with_progress_flag_keeps_counts", "telemetry.jsonl");
         let with_reporter: Vec<&str> = base
             .iter()
             .chain(["--progress", "1", "--telemetry-out", jsonl.to_str().unwrap()].iter())
@@ -2092,6 +1808,81 @@ mod tests {
         let (code, out) = run_to_string(&["advise", "--threats", "zombie-horde"]);
         assert_eq!(code, 1);
         assert!(out.contains("unknown threat"), "{out}");
+    }
+
+    #[test]
+    fn analyze_json_0_prints_the_text_report() {
+        let (code, text) = run_to_string(&["analyze", "--json", "0"]);
+        assert_eq!(code, 0, "{text}");
+        assert_eq!(text, run_to_string(&["analyze"]).1);
+    }
+
+    #[test]
+    fn frontier_pareto_only_0_and_transport_parse_like_the_spec() {
+        let (code, all) = run_to_string(&["frontier", "--pareto-only", "0"]);
+        assert_eq!(code, 0, "{all}");
+        assert_eq!(all, run_to_string(&["frontier"]).1);
+        assert!(all.lines().any(|l| l.ends_with("false")), "dominated designs hidden: {all}");
+        let (code, out) = run_to_string(&["frontier", "--transport", "bogus"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unknown transport `bogus`"), "{out}");
+    }
+
+    #[test]
+    fn zero_trials_or_routes_is_an_error_not_a_panic() {
+        let commands: [&[&str]; 5] = [
+            &["simulate"],
+            &["simulate", "--json", "1"],
+            &["trace"],
+            &["profile", "--workload", "simulate"],
+            &["compare"],
+        ];
+        for command in commands {
+            for (flag, message) in [
+                ("--trials", "at least one trial is required"),
+                ("--routes", "at least one route per trial is required"),
+            ] {
+                let argv: Vec<&str> = command.iter().copied().chain([flag, "0"]).collect();
+                let (code, out) = run_to_string(&argv);
+                assert_eq!(code, 1, "{argv:?}: {out}");
+                assert!(out.contains(message), "{argv:?}: {out}");
+            }
+        }
+    }
+
+    #[test]
+    fn boolean_flags_accept_only_0_or_1() {
+        let cases: [&[&str]; 6] = [
+            &["analyze", "--json", "yes"],
+            &["simulate", "--json", "2", "--trials", "1", "--routes", "1"],
+            &["simulate", "--progress", "on", "--trials", "1", "--routes", "1"],
+            &["profile", "--workload", "simulate", "--telemetry", "2", "--trials", "1"],
+            &["frontier", "--pareto-only", "true"],
+            &["client", "simulate", "--timing", "yes"],
+        ];
+        for argv in cases {
+            let (code, out) = run_to_string(argv);
+            assert_eq!(code, 1, "{argv:?}: {out}");
+            assert!(out.contains("expected 0 or 1"), "{argv:?}: {out}");
+        }
+    }
+
+    #[test]
+    fn commands_reject_spec_flags_they_do_not_take() {
+        for flag in ATTACK_FLAGS {
+            for command in ["trace", "advise"] {
+                let (code, out) = run_to_string(&[command, &format!("--{flag}"), "1"]);
+                assert_eq!(code, 1, "{command} --{flag}: {out}");
+                assert!(out.contains(&format!("unknown flag --{flag}")), "{out}");
+            }
+        }
+        for (command, flag) in
+            [("analyze", "--trials"), ("advise", "--seed"), ("compare", "--faults")]
+        {
+            let (code, out) = run_to_string(&[command, flag, "1"]);
+            assert_eq!(code, 1, "{command} {flag}: {out}");
+            assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+        }
     }
 
     #[test]

@@ -1378,7 +1378,10 @@ mod tests {
     #[test]
     fn reporter_writes_jsonl_and_exposition_sinks() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let dir = std::env::temp_dir().join("sos-telemetry-test");
+        let dir = std::env::temp_dir().join(format!(
+            "sos-telemetry-test-{}-reporter_writes_jsonl_and_exposition_sinks",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let jsonl = dir.join(format!("snap-{}.jsonl", std::process::id()));
         let prom = dir.join(format!("snap-{}.prom", std::process::id()));
@@ -1407,5 +1410,6 @@ mod tests {
         assert!(text.contains("# TYPE sos_trials_total counter"));
         let _ = std::fs::remove_file(&jsonl);
         let _ = std::fs::remove_file(&prom);
+        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -448,6 +448,17 @@ impl SimSpec {
     /// (including the zero trial/route counts the engine would panic
     /// on — a daemon validates, it does not panic).
     pub fn sim_config(&self) -> Result<SimulationConfig, SpecError> {
+        self.sim_config_with(self.attack()?)
+    }
+
+    /// Builds the [`SimulationConfig`] this spec describes under a
+    /// caller-supplied attack in place of the spec's own attack fields
+    /// (`sos trace` runs a threat preset's attack this way).
+    ///
+    /// # Errors
+    ///
+    /// As [`sim_config`](Self::sim_config), minus the attack fields.
+    pub fn sim_config_with(&self, attack: AttackConfig) -> Result<SimulationConfig, SpecError> {
         if self.trials == 0 {
             return Err(SpecError("spec field `trials`: at least one trial is required".into()));
         }
@@ -462,7 +473,7 @@ impl SimSpec {
             None => sos_faults::RetryPolicy::none(),
             Some(raw) => parse_retry(raw)?,
         };
-        Ok(SimulationConfig::new(self.scenario()?, self.attack()?)
+        Ok(SimulationConfig::new(self.scenario()?, attack)
             .trials(self.trials)
             .routes_per_trial(self.routes)
             .seed(self.seed)

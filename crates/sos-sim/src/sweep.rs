@@ -970,10 +970,18 @@ mod tests {
         assert_ne!(fingerprint(&faulty), fingerprint(&faulty_retry));
     }
 
+    /// A fresh temp directory unique to this process and test, so
+    /// parallel tests and concurrent test runs never share a file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("sos-sweep-cache-test-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn cache_file_round_trips_bit_for_bit() {
-        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cache_file_round_trips_bit_for_bit");
         let path = dir.join(format!("cache-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
@@ -997,12 +1005,12 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(journal_path(&path));
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn malformed_cache_is_quarantined_not_fatal() {
-        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("malformed_cache_is_quarantined_not_fatal");
         let path = dir.join(format!("bad-{}.json", std::process::id()));
         let corrupt = dir.join(format!("bad-{}.json.corrupt", std::process::id()));
         let _ = std::fs::remove_file(&corrupt);
@@ -1026,12 +1034,12 @@ mod tests {
         assert_eq!(warm.stats().cache_hits, 1);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&corrupt);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn journal_makes_points_durable_without_a_full_rewrite() {
-        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("journal_makes_points_durable_without_a_full_rewrite");
         let path = dir.join(format!("journal-{}.json", std::process::id()));
         let journal = dir.join(format!("journal-{}.json.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1065,12 +1073,12 @@ mod tests {
         assert!(!journal.exists(), "persist must absorb the journal");
         assert!(recovered.last_persist_age().is_some());
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn torn_journal_tail_is_dropped_and_prefix_recovered() {
-        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("torn_journal_tail_is_dropped_and_prefix_recovered");
         let path = dir.join(format!("torn-{}.json", std::process::id()));
         let journal = dir.join(format!("torn-{}.json.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1101,12 +1109,12 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn checksum_mismatch_skips_the_entry_and_quarantines_a_copy() {
-        let dir = std::env::temp_dir().join("sos-sweep-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("checksum_mismatch_skips_the_entry_and_quarantines_a_copy");
         let path = dir.join(format!("flip-{}.json", std::process::id()));
         let corrupt = dir.join(format!("flip-{}.json.corrupt", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1138,6 +1146,7 @@ mod tests {
         assert_eq!(report.quarantined.as_deref(), Some(corrupt.as_path()));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&corrupt);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
