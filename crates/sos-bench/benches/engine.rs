@@ -12,7 +12,7 @@ use sos_core::{
 use sos_overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos_sim::engine::{Simulation, SimulationConfig};
 use sos_faults::RetryPolicy;
-use sos_sim::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
 use std::hint::black_box;
 
 fn scenario(big_n: u64, sos: u64) -> Scenario {
@@ -111,12 +111,13 @@ fn bench_routing(c: &mut Criterion) {
                 let mut scratch = RouteScratch::new();
                 let retry = RetryPolicy::none();
                 b.iter(|| {
-                    let result = route_message_into(
+                    let result = route_message(
                         &overlay,
                         &Transport::Direct,
                         policy,
                         None,
                         &retry,
+                        None,
                         &mut rng,
                         &mut scratch,
                     );

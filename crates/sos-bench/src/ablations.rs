@@ -574,7 +574,7 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
     use sos_overlay::protocol::{run_maintenance, ChordProtocol, ProtocolConfig};
     use sos_overlay::{NodeId, Overlay, Transport};
     use sos_faults::RetryPolicy;
-    use sos_sim::routing::{route_message_into, RouteScratch, RoutingPolicy};
+    use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
 
     let mut table = SweepTable::new("ext-staleness", "t", "P_S");
     let scenario = Scenario::builder()
@@ -634,12 +634,13 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
         // damaged overlay.
         let mut hits = 0u32;
         for _ in 0..100 {
-            if route_message_into(
+            if route_message(
                 &overlay,
                 &Transport::Direct,
                 RoutingPolicy::RandomGood,
                 None,
                 &retry,
+                None,
                 &mut rng,
                 &mut scratch,
             )
@@ -657,12 +658,13 @@ pub fn staleness_extension_with_trials(trials: u64) -> SweepTable {
             let transport = Transport::Protocol(proto.clone());
             let mut hits = 0u32;
             for _ in 0..100 {
-                if route_message_into(
+                if route_message(
                     &overlay,
                     &transport,
                     RoutingPolicy::RandomGood,
                     None,
                     &retry,
+                    None,
                     &mut rng,
                     &mut scratch,
                 )

@@ -4,8 +4,8 @@
 //!
 //! * **before** — the allocating reference path: a fresh
 //!   [`Overlay::build`] and exhaustive [`ChordRing::build_reference`]
-//!   per trial, plus the allocating `route_message_with` entry point
-//!   (the engine as it stood before the scratch-reuse rework);
+//!   per trial, plus a fresh `RouteScratch` and a cloned result per
+//!   route (the engine as it stood before the scratch-reuse rework);
 //! * **after** — the production engine ([`Simulation::run`]), whose
 //!   per-worker scratch rebuilds the overlay/ring/route buffers in
 //!   place.
@@ -69,7 +69,7 @@ use sos_faults::RetryPolicy;
 use sos_observe::{telemetry, trace};
 use sos_overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos_sim::engine::{Simulation, SimulationConfig, TransportKind};
-use sos_sim::routing::{route_message_with, RoutingPolicy};
+use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
 use sos_sim::{
     route_lane_seed, set_route_batch_width, stream, trial_stream_seed, SweepExecutor,
 };
@@ -156,14 +156,17 @@ fn reference_run(
             // Each route draws from its own `ROUTE` sub-stream, the
             // same lane-seed derivation the batched kernel uses.
             let mut route_rng = StdRng::seed_from_u64(route_lane_seed(SEED, trial, route));
-            let result = route_message_with(
+            let result = route_message(
                 &overlay,
                 &transport,
                 RoutingPolicy::default(),
                 None,
                 &RetryPolicy::none(),
+                None,
                 &mut route_rng,
-            );
+                &mut RouteScratch::new(),
+            )
+            .clone();
             if result.delivered {
                 successes += 1;
             }
@@ -370,7 +373,7 @@ fn main() {
 
     // Routing-batch workload: a routing-heavy Chord run through the
     // engine at batch width 1 (every lane routed by the scalar
-    // `route_message_hint` oracle) and at the production width 64
+    // `route_message` oracle) and at the production width 64
     // (layer-synchronous SoA lanes sharing the per-trial Chord hop
     // memo). Per-route `ROUTE` sub-streams make the width
     // observationally pure, so delivery counts are asserted equal.

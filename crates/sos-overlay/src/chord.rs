@@ -726,35 +726,6 @@ impl ChordRing {
         None
     }
 
-    /// Batched form of [`ChordRing::lookup_avoiding_hops_masked`]: one
-    /// `(from, key)` query per lane, all resolved against the same
-    /// per-trial liveness mask. Results land in `out` (cleared first),
-    /// index-aligned with `queries`.
-    ///
-    /// Each lookup takes exactly the decisions of the scalar call —
-    /// this is a grouping, not an approximation — but running a trial's
-    /// route lanes through one pass keeps the finger/successor rows and
-    /// the mask words hot across queries instead of re-faulting them in
-    /// per route between unrelated work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any queried `from` is not on the ring.
-    pub fn lookup_avoiding_hops_masked_batch(
-        &self,
-        queries: &[(NodeId, u64)],
-        alive: &NodeBitSet,
-        out: &mut Vec<Option<(NodeId, usize)>>,
-    ) {
-        out.clear();
-        out.reserve(queries.len());
-        out.extend(
-            queries
-                .iter()
-                .map(|&(from, key)| self.lookup_avoiding_hops_masked(from, key, alive)),
-        );
-    }
-
     /// Masked counterpart of [`ChordRing::successor_walk_hops`] (see
     /// [`ChordRing::lookup_avoiding_hops_masked`] for the mask
     /// contract).

@@ -10,7 +10,7 @@
 
 use crate::bitset::NodeBitSet;
 use crate::chord::ChordRing;
-use crate::node::NodeId;
+use crate::node::{NodeId, Role};
 use crate::overlay::Overlay;
 use crate::protocol::ChordProtocol;
 use sos_faults::{FaultPlan, HopIncident, RetryPolicy};
@@ -84,23 +84,17 @@ impl Transport {
     /// holding the message); the destination must be good; under
     /// [`Transport::Chord`] every intermediate node must be good as well.
     ///
+    /// `alive` is an optional precomputed ring-position liveness mask
+    /// (see [`Transport::refresh_alive_positions`]) filled from "the
+    /// node is good"; with it the routing decisions are bit-identical to
+    /// the per-node status probes (`None`). The trial engine fills it
+    /// once per trial and amortizes it across the whole route batch.
+    ///
     /// # Panics
     ///
     /// Panics (Chord transport) if either endpoint is an overlay node
     /// missing from the ring — the ring must cover all overlay nodes.
-    pub fn deliver(&self, overlay: &Overlay, from: NodeId, to: NodeId) -> DeliveryOutcome {
-        self.deliver_hint(overlay, from, to, None)
-    }
-
-    /// [`deliver`](Self::deliver) with an optional precomputed
-    /// ring-position liveness mask (see
-    /// [`ChordRing::fill_alive_positions`]). The mask must have been
-    /// filled from the same liveness predicate the closure path would
-    /// use — for the fault-free path, "the node is good" — in which
-    /// case the routing decisions are bit-identical; the trial engine
-    /// fills it once per trial and amortizes it across the whole route
-    /// batch.
-    pub fn deliver_hint(
+    pub fn deliver(
         &self,
         overlay: &Overlay,
         from: NodeId,
@@ -110,46 +104,7 @@ impl Transport {
         if !overlay.is_good(to) {
             return DeliveryOutcome::Blocked;
         }
-        match self {
-            Transport::Direct => DeliveryOutcome::Delivered { hops: 1 },
-            Transport::Chord(ring) => {
-                // Filters are not ring members; final hop is direct.
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let key = ring
-                    .id_of(to)
-                    .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
-                let outcome = match alive {
-                    Some(mask) => ring.lookup_avoiding_hops_masked(from, key, mask),
-                    None => ring.lookup_avoiding_hops(from, key, |n| {
-                        n == from || overlay.is_good(n)
-                    }),
-                };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-            Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
-                let (Some(from_id), Some(to_id)) =
-                    (proto.chord_id_of(from), proto.chord_id_of(to))
-                else {
-                    return DeliveryOutcome::Blocked;
-                };
-                match proto.lookup_with_hops(from_id, to_id) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
-            }
-        }
+        self.attempt(overlay, from, to, None, alive)
     }
 
     /// Fault-aware delivery with retry: like [`deliver`](Self::deliver),
@@ -160,6 +115,21 @@ impl Transport {
     /// With `faults = None` this is *exactly* [`deliver`] — one attempt,
     /// no fault draws, zero ticks — which is how zero-fault runs stay
     /// bit-identical to the fault-unaware code path.
+    ///
+    /// When a fault plan is active, `alive` must encode "good **and**
+    /// not benignly crashed" (what [`Transport::refresh_alive_positions`]
+    /// fills for that plan); without a plan, plain "good". The trial
+    /// engine owns that contract — it refreshes the mask once per
+    /// trial, after attack damage and fault-plan creation.
+    ///
+    /// `substrate`, when `Some`, replaces the built-in substrate walk of
+    /// each faulted attempt. The caller owns the equivalence contract:
+    /// the closure must return *exactly* what the built-in attempt
+    /// would. The trial engine uses it to price Chord hops through a
+    /// per-trial hop memo — sound with a trial-stable liveness mask,
+    /// where the attempt is a pure function of `(from, to, mask)`. It
+    /// must not be used for substrates whose attempts draw randomness
+    /// (Protocol misrouting re-rolls per attempt).
     ///
     /// Fault semantics:
     ///
@@ -177,50 +147,8 @@ impl Transport {
     ///   redraws the misroute schedule.
     ///
     /// [`deliver`]: Self::deliver
-    pub fn deliver_with(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-    ) -> HopDelivery {
-        self.deliver_with_hint(overlay, from, to, faults, retry, None)
-    }
-
-    /// [`deliver_with`](Self::deliver_with) with an optional
-    /// precomputed ring-position liveness mask. When a fault plan is
-    /// active the mask must encode "good **and** not benignly crashed"
-    /// (the predicate [`attempt_via_substrate`](Self::deliver_with)
-    /// uses); without a plan, plain "good". The trial engine owns that
-    /// contract — it refreshes the mask once per trial, after attack
-    /// damage and fault-plan creation.
-    pub fn deliver_with_hint(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
-        retry: &RetryPolicy,
-        alive: Option<&NodeBitSet>,
-    ) -> HopDelivery {
-        self.deliver_with_hint_priced(overlay, from, to, faults, retry, alive, None)
-    }
-
-    /// [`deliver_with_hint`](Self::deliver_with_hint) with an optional
-    /// substrate-pricing override: when `substrate` is `Some`, each
-    /// delivery attempt's routability check calls the closure instead
-    /// of the built-in substrate walk.
-    ///
-    /// The caller owns the equivalence contract: the closure must
-    /// return *exactly* what the built-in attempt would (it is how the
-    /// trial engine plugs a per-trial hop memo under the fault ladder —
-    /// sound for Chord with a trial-stable liveness mask, where the
-    /// attempt is a pure function of `(from, to, mask)`). It must not
-    /// be used for substrates whose attempts draw randomness (Protocol
-    /// misrouting re-rolls per attempt).
     #[allow(clippy::too_many_arguments)]
-    pub fn deliver_with_hint_priced(
+    pub fn deliver_with(
         &self,
         overlay: &Overlay,
         from: NodeId,
@@ -232,7 +160,7 @@ impl Transport {
     ) -> HopDelivery {
         let Some(plan) = faults else {
             return HopDelivery {
-                outcome: self.deliver_hint(overlay, from, to, alive),
+                outcome: self.deliver(overlay, from, to, alive),
                 attempts: 1,
                 ticks: 0,
                 incidents: Vec::new(),
@@ -276,7 +204,7 @@ impl Transport {
             }
             let attempt = match substrate.as_mut() {
                 Some(price) => price(from, to),
-                None => self.attempt_via_substrate(overlay, from, to, plan, alive),
+                None => self.attempt(overlay, from, to, Some(plan), alive),
             };
             match attempt {
                 DeliveryOutcome::Delivered { hops } => {
@@ -304,58 +232,51 @@ impl Transport {
         HopDelivery { outcome: DeliveryOutcome::Blocked, attempts, ticks, incidents }
     }
 
-    /// One substrate delivery attempt under the fault plane: the
-    /// fault-unaware [`deliver`](Self::deliver) path with benignly
-    /// crashed nodes additionally excluded from routing, and (Protocol)
-    /// per-step misroute draws. The destination has already been
-    /// checked good and not crashed.
-    fn attempt_via_substrate(
+    /// One substrate delivery attempt to a destination already checked
+    /// good (and, under a fault plan, not crashed). Routing excludes
+    /// bad nodes and, when `plan` is present, benignly crashed ones;
+    /// the Protocol lookup draws per-step misroutes only under a plan.
+    fn attempt(
         &self,
         overlay: &Overlay,
         from: NodeId,
         to: NodeId,
-        plan: &FaultPlan,
+        plan: Option<&FaultPlan>,
         alive: Option<&NodeBitSet>,
     ) -> DeliveryOutcome {
-        match self {
-            Transport::Direct => DeliveryOutcome::Delivered { hops: 1 },
+        let routed = match self {
+            Transport::Direct => return DeliveryOutcome::Delivered { hops: 1 },
+            // Filters are not ring members; the final hop is direct.
+            _ if overlay.role(to) == Role::Filter => {
+                return DeliveryOutcome::Delivered { hops: 1 }
+            }
             Transport::Chord(ring) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
                 let key = ring
                     .id_of(to)
                     .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
                 let outcome = match alive {
                     Some(mask) => ring.lookup_avoiding_hops_masked(from, key, mask),
                     None => ring.lookup_avoiding_hops(from, key, |n| {
-                        n == from || (overlay.is_good(n) && !plan.is_crashed(n.0))
+                        n == from
+                            || (overlay.is_good(n) && plan.is_none_or(|p| !p.is_crashed(n.0)))
                     }),
                 };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
+                outcome.map(|(owner, hops)| (owner == to, hops))
             }
             Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Delivered { hops: 1 };
-                }
                 let (Some(from_id), Some(to_id)) =
                     (proto.chord_id_of(from), proto.chord_id_of(to))
                 else {
                     return DeliveryOutcome::Blocked;
                 };
-                match proto.lookup_with_hops_faulty(from_id, to_id, plan) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
+                let outcome = match plan {
+                    Some(plan) => proto.lookup_with_hops_faulty(from_id, to_id, plan),
+                    None => proto.lookup_with_hops(from_id, to_id),
+                };
+                outcome.map(|(owner, hops)| (owner == to_id, hops))
             }
-        }
+        };
+        reached(routed)
     }
 
     /// Degraded-mode delivery: abandon finger-table routing and walk
@@ -365,7 +286,7 @@ impl Transport {
     /// Byzantine fingers. [`Transport::Direct`] has no alternate
     /// substrate path, so it is always `Blocked` there; filter
     /// destinations use a direct final hop and likewise cannot be
-    /// walked to.
+    /// walked to. `alive` follows [`deliver_with`]'s mask contract.
     ///
     /// [`deliver_with`]: Self::deliver_with
     pub fn deliver_degraded(
@@ -374,69 +295,39 @@ impl Transport {
         from: NodeId,
         to: NodeId,
         faults: Option<&FaultPlan>,
-    ) -> DeliveryOutcome {
-        self.deliver_degraded_hint(overlay, from, to, faults, None)
-    }
-
-    /// [`deliver_degraded`](Self::deliver_degraded) with an optional
-    /// precomputed ring-position liveness mask (same contract as
-    /// [`deliver_with_hint`](Self::deliver_with_hint)).
-    pub fn deliver_degraded_hint(
-        &self,
-        overlay: &Overlay,
-        from: NodeId,
-        to: NodeId,
-        faults: Option<&FaultPlan>,
         alive: Option<&NodeBitSet>,
     ) -> DeliveryOutcome {
-        if !overlay.is_good(to) {
+        if !overlay.is_good(to) || faults.is_some_and(|p| p.is_crashed(to.0)) {
             return DeliveryOutcome::Blocked;
         }
-        if let Some(plan) = faults {
-            if plan.is_crashed(to.0) {
-                return DeliveryOutcome::Blocked;
-            }
-        }
-        let crashed = |n: NodeId| faults.is_some_and(|p| p.is_crashed(n.0));
-        match self {
-            Transport::Direct => DeliveryOutcome::Blocked,
+        let walked = match self {
+            Transport::Direct => return DeliveryOutcome::Blocked,
+            _ if overlay.role(to) == Role::Filter => return DeliveryOutcome::Blocked,
             Transport::Chord(ring) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Blocked;
-                }
                 let key = ring
                     .id_of(to)
                     .unwrap_or_else(|| panic!("{to} is not on the Chord ring"));
                 let outcome = match alive {
                     Some(mask) => ring.successor_walk_hops_masked(from, key, mask),
                     None => ring.successor_walk_hops(from, key, |n| {
-                        n == from || (overlay.is_good(n) && !crashed(n))
+                        n == from
+                            || (overlay.is_good(n) && faults.is_none_or(|p| !p.is_crashed(n.0)))
                     }),
                 };
-                match outcome {
-                    Some((owner, hops)) if owner == to => DeliveryOutcome::Delivered {
-                        hops: hops.max(1),
-                    },
-                    _ => DeliveryOutcome::Blocked,
-                }
+                outcome.map(|(owner, hops)| (owner == to, hops))
             }
             Transport::Protocol(proto) => {
-                if overlay.role(to) == crate::node::Role::Filter {
-                    return DeliveryOutcome::Blocked;
-                }
                 let (Some(from_id), Some(to_id)) =
                     (proto.chord_id_of(from), proto.chord_id_of(to))
                 else {
                     return DeliveryOutcome::Blocked;
                 };
-                match proto.successor_walk(from_id, to_id, faults) {
-                    Some((owner, hops)) if owner == to_id => {
-                        DeliveryOutcome::Delivered { hops: hops.max(1) }
-                    }
-                    _ => DeliveryOutcome::Blocked,
-                }
+                proto
+                    .successor_walk(from_id, to_id, faults)
+                    .map(|(owner, hops)| (owner == to_id, hops))
             }
-        }
+        };
+        reached(walked)
     }
 
     /// Mirrors overlay damage onto the transport substrate. For
@@ -471,8 +362,8 @@ impl Transport {
     /// unused and left untouched.
     ///
     /// Call once per trial after attack damage and fault-plan creation,
-    /// then pass the mask to the `_hint` delivery variants for the
-    /// trial's whole route batch.
+    /// then pass it as the `alive` argument of every delivery in the
+    /// trial's route batch.
     pub fn refresh_alive_positions(
         &self,
         overlay: &Overlay,
@@ -504,6 +395,15 @@ impl Transport {
     }
 }
 
+/// A substrate walk's verdict as a hop outcome: delivered (at least one
+/// underlay hop) iff the walk ended at the destination itself.
+fn reached(walk: Option<(bool, usize)>) -> DeliveryOutcome {
+    match walk {
+        Some((true, hops)) => DeliveryOutcome::Delivered { hops: hops.max(1) },
+        _ => DeliveryOutcome::Blocked,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,10 +432,10 @@ mod tests {
         let (mut overlay, _) = setup(1);
         let from = overlay.layer_members(1)[0];
         let to = overlay.neighbors(from)[0];
-        assert!(Transport::Direct.deliver(&overlay, from, to).is_delivered());
+        assert!(Transport::Direct.deliver(&overlay, from, to, None).is_delivered());
         overlay.set_status(to, NodeStatus::Congested);
         assert_eq!(
-            Transport::Direct.deliver(&overlay, from, to),
+            Transport::Direct.deliver(&overlay, from, to, None),
             DeliveryOutcome::Blocked
         );
     }
@@ -546,7 +446,7 @@ mod tests {
         let transport = Transport::Chord(ring);
         let from = overlay.layer_members(1)[0];
         for &to in overlay.neighbors(from) {
-            let out = transport.deliver(&overlay, from, to);
+            let out = transport.deliver(&overlay, from, to, None);
             assert!(out.is_delivered(), "{from} -> {to}: {out:?}");
         }
     }
@@ -564,7 +464,7 @@ mod tests {
             }
         }
         let transport = Transport::Chord(ring);
-        let out = transport.deliver(&overlay, from, to);
+        let out = transport.deliver(&overlay, from, to, None);
         // Either the ring happens to connect them directly (fingers), or
         // the hop is blocked; both are legal, but with 400 nodes a direct
         // finger to an arbitrary neighbor is rare.
@@ -580,7 +480,7 @@ mod tests {
         let last_layer = overlay.layer_count();
         let servlet = overlay.layer_members(last_layer)[0];
         let filter = overlay.neighbors(servlet)[0];
-        let out = transport.deliver(&overlay, servlet, filter);
+        let out = transport.deliver(&overlay, servlet, filter, None);
         assert_eq!(out, DeliveryOutcome::Delivered { hops: 1 });
     }
 
@@ -628,14 +528,14 @@ mod tests {
         assert_eq!(transport.label(), "protocol");
         let from = overlay.layer_members(1)[0];
         for &to in overlay.neighbors(from) {
-            let out = transport.deliver(&overlay, from, to);
+            let out = transport.deliver(&overlay, from, to, None);
             assert!(out.is_delivered(), "{from} -> {to}: {out:?}");
         }
         // Servlet → filter hop stays direct.
         let servlet = overlay.layer_members(overlay.layer_count())[0];
         let filter = overlay.neighbors(servlet)[0];
         assert_eq!(
-            transport.deliver(&overlay, servlet, filter),
+            transport.deliver(&overlay, servlet, filter, None),
             DeliveryOutcome::Delivered { hops: 1 }
         );
     }
@@ -647,14 +547,22 @@ mod tests {
         let from = overlay.layer_members(1)[0];
         let to = overlay.neighbors(from)[0];
         for retry in [RetryPolicy::none(), RetryPolicy::new(5, 2, 100)] {
-            let d = transport.deliver_with(&overlay, from, to, None, &retry);
-            assert_eq!(d.outcome, transport.deliver(&overlay, from, to));
+            let d = transport.deliver_with(&overlay, from, to, None, &retry, None, None);
+            assert_eq!(d.outcome, transport.deliver(&overlay, from, to, None));
             assert_eq!(d.attempts, 1);
             assert_eq!(d.ticks, 0);
             assert!(d.incidents.is_empty());
         }
         overlay.set_status(to, NodeStatus::Congested);
-        let d = transport.deliver_with(&overlay, from, to, None, &RetryPolicy::new(5, 2, 100));
+        let d = transport.deliver_with(
+            &overlay,
+            from,
+            to,
+            None,
+            &RetryPolicy::new(5, 2, 100),
+            None,
+            None,
+        );
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert!(d.incidents.is_empty(), "compromise is not a fault");
     }
@@ -672,10 +580,11 @@ mod tests {
         let mut saw_recovery = false;
         for trial in 0..64 {
             let plan = sos_faults::FaultPlan::new(&cfg, trial);
-            let once = transport.deliver_with(&overlay, from, to, Some(&plan), &RetryPolicy::none());
+            let none = RetryPolicy::none();
+            let once = transport.deliver_with(&overlay, from, to, Some(&plan), &none, None, None);
             let plan = sos_faults::FaultPlan::new(&cfg, trial);
-            let many =
-                transport.deliver_with(&overlay, from, to, Some(&plan), &RetryPolicy::new(8, 1, 10_000));
+            let retry = RetryPolicy::new(8, 1, 10_000);
+            let many = transport.deliver_with(&overlay, from, to, Some(&plan), &retry, None, None);
             if !once.is_delivered() && many.is_delivered() {
                 assert!(many.attempts > 1);
                 assert!(many.incidents.iter().any(|i| matches!(i, HopIncident::Loss { .. })));
@@ -706,6 +615,8 @@ mod tests {
             to,
             Some(&plan),
             &RetryPolicy::new(6, 2, 10_000),
+            None,
+            None,
         );
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert_eq!(d.attempts, 1, "persistent fault: retrying is pointless");
@@ -728,6 +639,8 @@ mod tests {
             to,
             Some(&plan),
             &RetryPolicy::new(1000, 4, 20),
+            None,
+            None,
         );
         assert_eq!(d.outcome, DeliveryOutcome::Blocked);
         assert!(d.attempts < 10, "deadline must cap attempts, got {}", d.attempts);
@@ -748,18 +661,18 @@ mod tests {
         let to = *overlay
             .neighbors(from)
             .iter()
-            .find(|&&n| overlay.role(n) != crate::node::Role::Filter)
+            .find(|&&n| overlay.role(n) != Role::Filter)
             .unwrap();
         let cfg = FaultConfig::none().loss(0.01).seed(2);
         let plan = FaultPlan::new(&cfg, 0);
-        let walked = transport.deliver_degraded(&overlay, from, to, Some(&plan));
+        let walked = transport.deliver_degraded(&overlay, from, to, Some(&plan), None);
         assert!(
             walked.is_delivered(),
             "successor walk on a clean overlay must reach {to}"
         );
         // Direct transport has no degraded mode.
         assert_eq!(
-            Transport::Direct.deliver_degraded(&overlay, from, to, Some(&plan)),
+            Transport::Direct.deliver_degraded(&overlay, from, to, Some(&plan), None),
             DeliveryOutcome::Blocked
         );
     }
@@ -795,7 +708,7 @@ mod tests {
         // Overlay status is still Good, but the ring lost the node: the
         // stale-infrastructure failure mode.
         assert_eq!(
-            transport.deliver(&overlay, from, to),
+            transport.deliver(&overlay, from, to, None),
             DeliveryOutcome::Blocked
         );
     }

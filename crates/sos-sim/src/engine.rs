@@ -103,8 +103,8 @@ pub fn route_lane_seed(seed: u64, trial: u64, route: u64) -> u64 {
 
 /// Process-global width of the batched route-evaluation kernel
 /// (default 64 lanes). Width 1 forces the per-lane scalar oracle
-/// ([`routing::route_message_hint`](crate::routing::route_message_hint))
-/// for every route; any width produces byte-identical results (pinned
+/// ([`routing::route_message`](crate::routing::route_message)) for
+/// every route; any width produces byte-identical results (pinned
 /// by tests) because each route draws from its own
 /// [`route_lane_seed`] sub-stream — the knob exists for benchmarks and
 /// for proving exactly that.
@@ -1082,7 +1082,7 @@ impl Simulation {
         // `route_batch_width()` lanes. Every route draws from its own
         // `route_lane_seed` sub-stream (never the attack rng above), so
         // chunking, lane order and batch width cannot perturb results —
-        // width 1 runs the scalar `route_message_hint` oracle per lane
+        // width 1 runs the scalar `route_message` oracle per lane
         // and is byte-identical (pinned by tests). Events and partial
         // accumulation happen per chunk, in route order, so traced runs
         // see exactly the per-route event sequence of the scalar loop.

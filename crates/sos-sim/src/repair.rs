@@ -15,7 +15,7 @@
 //!   repaired node it knows about (knowledge stays valid); only
 //!   randomly-congested repairs stick, so `P_S(t)` plateaus.
 
-use crate::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use crate::routing::{route_message, RouteScratch, RoutingPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
@@ -203,12 +203,13 @@ impl RepairSimulation {
                 // Measure.
                 let mut delivered = 0u64;
                 for _ in 0..self.routes_per_step {
-                    if route_message_into(
+                    if route_message(
                         &overlay,
                         &Transport::Direct,
                         RoutingPolicy::RandomGood,
                         plan.as_ref(),
                         &self.retry,
+                        None,
                         &mut rng,
                         &mut scratch,
                     )

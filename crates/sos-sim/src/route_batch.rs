@@ -1,11 +1,11 @@
 //! Batched structure-of-arrays route evaluation.
 //!
 //! The scalar trial loop routed `routes_per_trial` messages one at a
-//! time through [`route_message_hint`](crate::routing::route_message_hint), touching the per-trial shared
-//! state — layer membership, neighbor tables, the position-indexed
-//! `NodeBitSet` liveness words, the Chord finger rows — once *per
-//! route*. This kernel evaluates all routes of a trial as parallel
-//! *lanes* over that shared state instead:
+//! time through [`route_message`](crate::routing::route_message),
+//! touching the per-trial shared state — layer membership, neighbor
+//! tables, the position-indexed `NodeBitSet` liveness words, the Chord
+//! finger rows — once *per route*. This kernel evaluates all routes of
+//! a trial as parallel *lanes* over that shared state instead:
 //!
 //! * one entry-point sampling pass seeds every lane of a chunk up
 //!   front (each lane drawing from its own RNG sub-stream);
@@ -28,14 +28,16 @@
 //! [`stream::ROUTE`](crate::stream::ROUTE)), so lane order, chunking
 //! and batch width *cannot* perturb draws: a lane's draw sequence is a
 //! pure function of `(seed, trial, route)`. The fast paths below are
-//! faithful specializations of [`route_message_hint`](crate::routing::route_message_hint) to the
-//! fault-free case: layer-synchronous lanes for the greedy policies,
-//! and a memo-backed DFS (parent-pointer frames instead of a cloned
-//! path `Vec` per frame, hops from the shared per-trial Chord memo)
-//! for backtracking. When neither applies (an active fault plan, a
+//! faithful specializations of
+//! [`route_message`](crate::routing::route_message) to the fault-free
+//! case: layer-synchronous lanes for the greedy policies, and a
+//! memo-backed DFS (parent-pointer frames instead of a cloned path
+//! `Vec` per frame, hops from the shared per-trial Chord memo) for
+//! backtracking. When neither applies (an active fault plan, a
 //! protocol transport, or batch width 1) each lane runs the scalar
 //! oracle itself with its lane RNG — trivially identical. Faulted
-//! Chord lanes still share the per-trial hop memo through the oracle
+//! Chord lanes still share the per-trial hop memo through the oracle:
+//! it is handed to [`Transport::deliver_with`] as the substrate pricer
 //! (hop pricing is a pure function of `(from, to, mask)`; fault draws
 //! never enter the substrate walk, so memoization cannot perturb the
 //! plan's counted streams).
@@ -43,7 +45,7 @@
 //! the oracle (including RNG end state) and byte-identity of
 //! `run_parallel`/`run_sweep` across widths 1/4/16/64.
 
-use crate::routing::{route_message_hint_priced, RouteResult, RouteScratch, RoutingPolicy};
+use crate::routing::{route_priced, RouteResult, RouteScratch, RoutingPolicy, SubstratePricer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sos_faults::{FaultPlan, RetryPolicy};
@@ -181,8 +183,8 @@ impl RouteBatchScratch {
     ///
     /// With `batched = false` (or whenever no fast path applies:
     /// active faults, protocol transport) every lane runs the scalar
-    /// [`route_message_hint`](crate::routing::route_message_hint) oracle through `oracle` scratch; results
-    /// are identical either way.
+    /// [`route_message`](crate::routing::route_message) oracle through
+    /// `oracle` scratch; results are identical either way.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate(
         &mut self,
@@ -212,25 +214,27 @@ impl RouteBatchScratch {
             // counted fault streams. The oracle runs lanes in route
             // order, preserving the scalar draw sequence exactly.
             let RouteBatchScratch { lanes, memo, trace, .. } = self;
-            let mut pricer = match (batched, transport, alive) {
+            let mut memo_pricer = match (batched, transport, alive) {
                 (true, Transport::Chord(ring), Some(mask)) => {
-                    Some(ChordMemoPricer { ring, mask, memo, trace })
+                    Some(move |from: NodeId, to: NodeId| {
+                        memo_chord_attempt(ring, overlay, mask, from, to, memo, trace)
+                    })
                 }
                 _ => None,
             };
             for (k, lane) in lanes[..count].iter_mut().enumerate() {
                 let seed = stream_seed(route_master, crate::stream::ROUTE, first_route + k as u64);
                 lane.rng = StdRng::seed_from_u64(seed);
-                let r = route_message_hint_priced(
+                let r = route_priced(
                     overlay,
                     transport,
                     policy,
                     faults,
                     retry,
+                    alive,
                     &mut lane.rng,
                     oracle,
-                    alive,
-                    pricer.as_mut(),
+                    memo_pricer.as_mut().map(|p| p as SubstratePricer<'_>),
                 );
                 lane.result.clone_from(r);
             }
@@ -434,7 +438,7 @@ fn rebuild_path(frames: &[BtFrame], mut fi: u32, path: &mut Vec<NodeId>) {
     path.reverse();
 }
 
-/// Fault-free hop delivery, mirroring `Transport::deliver_hint` exactly
+/// Fault-free hop delivery, mirroring [`Transport::deliver`] exactly
 /// but resolving Chord lookups through the per-trial memo.
 #[inline]
 fn hop_hops(
@@ -460,7 +464,7 @@ fn hop_hops(
         }
         // The fast path never runs on other transports (see `evaluate`);
         // fall back to the canonical delivery for completeness.
-        other => match other.deliver_hint(overlay, from, to, alive) {
+        other => match other.deliver(overlay, from, to, alive) {
             DeliveryOutcome::Delivered { hops } => Some(hops),
             _ => None,
         },
@@ -474,7 +478,7 @@ fn hop_hops(
 /// every intermediate of a stuck walk is on the same dead-end suffix
 /// (the greedy step is memoryless — see
 /// [`ChordRing::lookup_avoiding_hops_masked_traced`]). Encodes exactly
-/// `Transport::deliver_hint`'s Chord arm: hops-or-[`BLOCKED`], owner
+/// the Chord arm of [`Transport::deliver`]: hops-or-[`BLOCKED`], owner
 /// must be `to`.
 fn memo_chord_hops(
     ring: &ChordRing,
@@ -516,8 +520,8 @@ fn memo_chord_hops(
 
 /// Encodes a lookup outcome the way the memo stores hop answers:
 /// delivered-to-the-right-owner as `hops.max(1)`, anything else as
-/// [`BLOCKED`] — decision for decision `Transport::deliver_hint`'s
-/// Chord arm.
+/// [`BLOCKED`] — decision for decision the Chord arm of
+/// [`Transport::deliver`].
 #[inline]
 fn encode_chord_outcome(outcome: Option<(NodeId, usize)>, to: NodeId) -> u32 {
     match outcome {
@@ -527,41 +531,28 @@ fn encode_chord_outcome(outcome: Option<(NodeId, usize)>, to: NodeId) -> u32 {
 }
 
 /// Memo-backed substrate pricing for the *faulted* oracle path: a
-/// plug-in replacement for `Transport::attempt_via_substrate`'s Chord
-/// arm (filter shortcut, then the masked avoiding lookup), valid
-/// because that pricing is a pure function of `(from, to, mask)` for
-/// the whole trial. Installed by [`RouteBatchScratch::evaluate`] via
-/// [`Transport::deliver_with_hint_priced`]; consumes no randomness, so
-/// the plan's counted fault streams see exactly the scalar sequence.
-pub(crate) struct ChordMemoPricer<'a> {
-    ring: &'a ChordRing,
-    mask: &'a NodeBitSet,
-    memo: &'a mut HopMemo,
-    trace: &'a mut Vec<NodeId>,
-}
-
-impl ChordMemoPricer<'_> {
-    /// One substrate pricing, mirroring the Chord arm of
-    /// `Transport::attempt_via_substrate` (the destination is already
-    /// checked good and not crashed by the delivery ladder).
-    pub(crate) fn price(&mut self, overlay: &Overlay, from: NodeId, to: NodeId) -> DeliveryOutcome {
-        if overlay.role(to) == Role::Filter {
-            return DeliveryOutcome::Delivered { hops: 1 };
-        }
-        let hops = memo_chord_hops(
-            self.ring,
-            overlay,
-            from,
-            to,
-            Some(self.mask),
-            self.memo,
-            self.trace,
-        );
-        if hops == BLOCKED {
-            DeliveryOutcome::Blocked
-        } else {
-            DeliveryOutcome::Delivered { hops: hops as usize }
-        }
+/// plug-in replacement for the Chord arm of the built-in attempt in
+/// [`Transport::deliver_with`] (filter shortcut, then the masked
+/// avoiding lookup; the destination is already checked good and not
+/// crashed by the delivery ladder). Valid because that pricing is a
+/// pure function of `(from, to, mask)` for the whole trial; consumes no
+/// randomness, so the plan's counted fault streams see exactly the
+/// scalar sequence.
+fn memo_chord_attempt(
+    ring: &ChordRing,
+    overlay: &Overlay,
+    mask: &NodeBitSet,
+    from: NodeId,
+    to: NodeId,
+    memo: &mut HopMemo,
+    trace: &mut Vec<NodeId>,
+) -> DeliveryOutcome {
+    if overlay.role(to) == Role::Filter {
+        return DeliveryOutcome::Delivered { hops: 1 };
+    }
+    match memo_chord_hops(ring, overlay, from, to, Some(mask), memo, trace) {
+        BLOCKED => DeliveryOutcome::Blocked,
+        hops => DeliveryOutcome::Delivered { hops: hops as usize },
     }
 }
 

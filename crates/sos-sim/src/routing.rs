@@ -14,11 +14,11 @@
 //! exists — an upper bound that quantifies how much the independence
 //! assumption costs.
 
-use crate::route_batch::ChordMemoPricer;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sos_faults::{Fallback, FaultPlan, HopIncident, RetryPolicy};
 use sos_math::sampling::{shuffle, IndexSampler};
+use sos_overlay::transport::DeliveryOutcome;
 use sos_overlay::{NodeBitSet, NodeId, Overlay, Transport};
 
 /// How a forwarding node chooses among its next-layer neighbors.
@@ -147,189 +147,139 @@ impl RouteScratch {
     }
 }
 
-/// Attempts to route one message from a fresh client through `overlay`.
+/// The substrate-pricing override handed to [`Transport::deliver_with`]
+/// for every faulted hop of a route (see its contract there).
+pub(crate) type SubstratePricer<'p> = &'p mut dyn FnMut(NodeId, NodeId) -> DeliveryOutcome;
+
+/// Routes one message from a fresh client through `overlay`.
 ///
 /// The client draws `m_1` first-layer contacts, then the chosen policy
 /// walks the layers. A hop from node `v` to neighbor `w` is usable when
 /// `transport` can deliver it (destination good; for Chord transport all
 /// intermediate hops good too).
-pub fn route_message<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    rng: &mut R,
-) -> RouteResult {
-    route_message_with(overlay, transport, policy, None, &RetryPolicy::none(), rng)
-}
-
-/// Fault-aware routing: like [`route_message`], but every hop is
-/// delivered through the fault plane with the given retry policy, and
-/// fault-caused hop failures degrade gracefully — first to
-/// successor-list walking on the substrate, then to an alternate
-/// next-layer neighbor — with every incident recorded in
-/// [`RouteResult::incidents`].
 ///
-/// With `faults = None` this is *exactly* [`route_message`]: no fault
-/// draws, no degradation paths, no incident allocation — the bit-for-bit
-/// zero-fault guarantee.
-pub fn route_message_with<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut R,
-) -> RouteResult {
-    let mut scratch = RouteScratch::new();
-    route_message_into(overlay, transport, policy, faults, retry, rng, &mut scratch).clone()
-}
-
-/// Allocation-reusing routing: identical semantics and RNG consumption
-/// to [`route_message_with`], but all buffers (entry sampling,
-/// candidate lists, visited set, the result itself) live in the
-/// caller-owned [`RouteScratch`]. The returned reference points into the
-/// scratch and is valid until the next call.
+/// With a fault plan every hop is delivered through the fault plane
+/// with the given retry policy, and fault-caused hop failures degrade
+/// gracefully — first to successor-list walking on the substrate, then
+/// to an alternate next-layer neighbor — with every incident recorded
+/// in [`RouteResult::incidents`]. With `faults = None` the retry policy
+/// is ignored: no fault draws, no degradation paths, no incident
+/// allocation — the bit-for-bit zero-fault guarantee.
+///
+/// `alive` is the Chord ring's position-indexed liveness mask (see
+/// [`Transport::refresh_alive_positions`]), filled for the same fault
+/// plan: the trial runner computes it once per attacked overlay and
+/// every substrate lookup of the trial probes the shared `u64` words
+/// instead of per-node status. `None` gives the same results and RNG
+/// consumption.
+///
+/// All buffers (entry sampling, candidate lists, visited set, the result
+/// itself) live in the caller-owned [`RouteScratch`]; the returned
+/// reference points into it and is valid until the next call.
 #[allow(clippy::too_many_arguments)]
-pub fn route_message_into<'a, R: Rng + ?Sized>(
+pub fn route_message<'a, R: Rng + ?Sized>(
     overlay: &Overlay,
     transport: &Transport,
     policy: RoutingPolicy,
     faults: Option<&FaultPlan>,
     retry: &RetryPolicy,
+    alive: Option<&NodeBitSet>,
     rng: &mut R,
     scratch: &'a mut RouteScratch,
 ) -> &'a RouteResult {
-    route_message_hint(overlay, transport, policy, faults, retry, rng, scratch, None)
+    route_priced(overlay, transport, policy, faults, retry, alive, rng, scratch, None)
 }
 
-/// [`route_message_into`] with a precomputed substrate liveness mask.
-///
-/// `alive` is the Chord ring's position-indexed liveness bitset (see
-/// [`Transport::refresh_alive_positions`]): the trial runner computes it
-/// once per attacked overlay and every substrate lookup on every route
-/// of that trial probes the shared `u64` words instead of re-deriving
-/// per-node status through the overlay. With `alive = None` (or a
-/// non-Chord transport) this is exactly [`route_message_into`] — same
-/// results, same RNG consumption.
+/// [`route_message`] with every faulted hop's substrate walk priced by
+/// `pricer` instead (the batched kernel's per-trial Chord hop memo).
+/// Pricing draws no randomness, so results and RNG/fault-stream
+/// consumption are those of [`route_message`].
 #[allow(clippy::too_many_arguments)]
-pub fn route_message_hint<'a, R: Rng + ?Sized>(
+pub(crate) fn route_priced<'a, R: Rng + ?Sized>(
     overlay: &Overlay,
     transport: &Transport,
     policy: RoutingPolicy,
     faults: Option<&FaultPlan>,
     retry: &RetryPolicy,
+    alive: Option<&NodeBitSet>,
     rng: &mut R,
     scratch: &'a mut RouteScratch,
-    alive: Option<&NodeBitSet>,
-) -> &'a RouteResult {
-    route_message_hint_priced(
-        overlay, transport, policy, faults, retry, rng, scratch, alive, None,
-    )
-}
-
-/// [`route_message_hint`] with an optional memo-backed Chord substrate
-/// pricer (see [`ChordMemoPricer`]): identical semantics and RNG/fault
-/// draw consumption — pricing is pure, so memoizing it cannot shift the
-/// plan's counted streams — used by the batched kernel's faulted oracle
-/// path to share the per-trial hop memo across lanes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_message_hint_priced<'a, R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
-    policy: RoutingPolicy,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut R,
-    scratch: &'a mut RouteScratch,
-    alive: Option<&NodeBitSet>,
-    mut pricer: Option<&mut ChordMemoPricer<'_>>,
+    pricer: Option<SubstratePricer<'_>>,
 ) -> &'a RouteResult {
     let last_layer = overlay.layer_count() + 1; // filters
-    {
-        let RouteScratch {
-            sampler,
+    let RouteScratch {
+        sampler,
+        candidates,
+        neighbors_buf,
+        visited,
+        result,
+    } = scratch;
+    overlay.sample_entry_points_into(rng, sampler, candidates);
+    result.reset();
+    let delivery = Hops { overlay, transport, faults, retry, alive, pricer };
+    match policy {
+        RoutingPolicy::RandomGood | RoutingPolicy::FirstGood => {
+            greedy_route(delivery, policy, candidates, last_layer, rng, result)
+        }
+        RoutingPolicy::Backtracking => backtracking_route(
+            delivery,
             candidates,
             neighbors_buf,
             visited,
+            last_layer,
+            rng,
             result,
-        } = scratch;
-        overlay.sample_entry_points_into(rng, sampler, candidates);
-        result.reset();
-        match policy {
-            RoutingPolicy::RandomGood | RoutingPolicy::FirstGood => greedy_route(
-                overlay,
-                transport,
-                policy,
-                candidates,
-                last_layer,
-                faults,
-                retry,
-                rng,
-                result,
-                alive,
-                pricer.as_deref_mut(),
-            ),
-            RoutingPolicy::Backtracking => backtracking_route(
-                overlay,
-                transport,
-                candidates,
-                neighbors_buf,
-                visited,
-                last_layer,
-                faults,
-                retry,
-                rng,
-                result,
-                alive,
-                pricer,
-            ),
-        }
+        ),
     }
-    &scratch.result
+    result
 }
 
-/// One fault-ladder hop delivery, routed through the memo-backed pricer
-/// when one is installed (Chord + trial-stable mask only; see
-/// [`Transport::deliver_with_hint_priced`] for the contract).
-#[allow(clippy::too_many_arguments)]
-fn deliver_priced(
-    transport: &Transport,
-    overlay: &Overlay,
-    from: NodeId,
-    to: NodeId,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    alive: Option<&NodeBitSet>,
-    pricer: Option<&mut ChordMemoPricer<'_>>,
-) -> sos_overlay::transport::HopDelivery {
-    match pricer {
-        Some(p) => transport.deliver_with_hint_priced(
-            overlay,
+/// Everything one route's hop deliveries share.
+struct Hops<'h, 'p> {
+    overlay: &'h Overlay,
+    transport: &'h Transport,
+    faults: Option<&'h FaultPlan>,
+    retry: &'h RetryPolicy,
+    alive: Option<&'h NodeBitSet>,
+    pricer: Option<SubstratePricer<'p>>,
+}
+
+impl Hops<'_, '_> {
+    /// Delivers `from → to` through the fault ladder and books its
+    /// retries, ticks and incidents on `result`.
+    fn deliver(&mut self, from: NodeId, to: NodeId, result: &mut RouteResult) -> DeliveryOutcome {
+        let hop = self.transport.deliver_with(
+            self.overlay,
             from,
             to,
-            faults,
-            retry,
-            alive,
-            Some(&mut |f, t| p.price(overlay, f, t)),
-        ),
-        None => transport.deliver_with_hint(overlay, from, to, faults, retry, alive),
+            self.faults,
+            self.retry,
+            self.alive,
+            // Reborrow; the cast shortens the trait-object lifetime.
+            self.pricer.as_mut().map(|p| &mut **p as SubstratePricer<'_>),
+        );
+        result.retries += u64::from(hop.attempts.saturating_sub(1));
+        result.fault_ticks += hop.ticks;
+        for incident in &hop.incidents {
+            result.incidents.push(RouteIncident {
+                from: from.0,
+                to: to.0,
+                kind: RouteIncidentKind::Hop(*incident),
+            });
+        }
+        hop.outcome
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn greedy_route<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
+    mut delivery: Hops<'_, '_>,
     policy: RoutingPolicy,
     candidates: &mut Vec<NodeId>,
     last_layer: usize,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
     rng: &mut R,
     result: &mut RouteResult,
-    alive: Option<&NodeBitSet>,
-    mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
+    let Hops { overlay, transport, faults, alive, .. } = delivery;
     // `candidates` are the potential nodes at the next layer (initially
     // the client's entry set); the "client hop" into layer 1 is a plain
     // reachability check (clients talk to SOAPs directly).
@@ -357,28 +307,7 @@ fn greedy_route<R: Rng + ?Sized>(
                     }
                 }
                 Some(v) => {
-                    let hop = deliver_priced(
-                        transport,
-                        overlay,
-                        v,
-                        cand,
-                        faults,
-                        retry,
-                        alive,
-                        pricer.as_deref_mut(),
-                    );
-                    result.retries += u64::from(hop.attempts.saturating_sub(1));
-                    result.fault_ticks += hop.ticks;
-                    for incident in &hop.incidents {
-                        result.incidents.push(RouteIncident {
-                            from: v.0,
-                            to: cand.0,
-                            kind: RouteIncidentKind::Hop(*incident),
-                        });
-                    }
-                    if let sos_overlay::transport::DeliveryOutcome::Delivered { hops } =
-                        hop.outcome
-                    {
+                    if let DeliveryOutcome::Delivered { hops } = delivery.deliver(v, cand, result) {
                         if fault_failed_prev {
                             result.downgrades += 1;
                             result.incidents.push(RouteIncident {
@@ -401,8 +330,7 @@ fn greedy_route<R: Rng + ?Sized>(
                     });
                     if fault_failure {
                         // Stage 1: successor-list walking.
-                        let walked =
-                            transport.deliver_degraded_hint(overlay, v, cand, faults, alive);
+                        let walked = transport.deliver_degraded(overlay, v, cand, faults, alive);
                         let recovered = walked.is_delivered();
                         result.downgrades += 1;
                         result.incidents.push(RouteIncident {
@@ -413,9 +341,7 @@ fn greedy_route<R: Rng + ?Sized>(
                                 recovered,
                             },
                         });
-                        if let sos_overlay::transport::DeliveryOutcome::Delivered { hops } =
-                            walked
-                        {
+                        if let DeliveryOutcome::Delivered { hops } = walked {
                             next = Some((cand, hops));
                             break;
                         }
@@ -459,21 +385,16 @@ fn greedy_route<R: Rng + ?Sized>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn backtracking_route<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    transport: &Transport,
+    mut delivery: Hops<'_, '_>,
     entries: &mut Vec<NodeId>,
     neighbors_buf: &mut Vec<NodeId>,
     visited: &mut NodeBitSet,
     last_layer: usize,
-    faults: Option<&FaultPlan>,
-    retry: &RetryPolicy,
     rng: &mut R,
     result: &mut RouteResult,
-    alive: Option<&NodeBitSet>,
-    mut pricer: Option<&mut ChordMemoPricer<'_>>,
 ) {
+    let Hops { overlay, faults, .. } = delivery;
     shuffle(rng, entries);
     visited.clear();
     let mut best_prefix_hops = 0usize;
@@ -527,28 +448,7 @@ fn backtracking_route<R: Rng + ?Sized>(
             if visited.contains(next) {
                 continue;
             }
-            let hop = deliver_priced(
-                transport,
-                overlay,
-                node,
-                next,
-                faults,
-                retry,
-                alive,
-                pricer.as_deref_mut(),
-            );
-            result.retries += u64::from(hop.attempts.saturating_sub(1));
-            result.fault_ticks += hop.ticks;
-            for incident in &hop.incidents {
-                result.incidents.push(RouteIncident {
-                    from: node.0,
-                    to: next.0,
-                    kind: RouteIncidentKind::Hop(*incident),
-                });
-            }
-            if let sos_overlay::transport::DeliveryOutcome::Delivered { hops: edge } =
-                hop.outcome
-            {
+            if let DeliveryOutcome::Delivered { hops: edge } = delivery.deliver(node, next, result) {
                 let mut next_path = path.clone();
                 next_path.push(next);
                 stack.push(Frame {
@@ -583,6 +483,23 @@ mod tests {
         Overlay::build(&scenario, &mut rng)
     }
 
+    /// Routes one message over `Transport::Direct` with a fresh scratch.
+    fn route(
+        o: &Overlay,
+        policy: RoutingPolicy,
+        faults: Option<&FaultPlan>,
+        retry: &RetryPolicy,
+        rng: &mut StdRng,
+    ) -> RouteResult {
+        let mut scratch = RouteScratch::new();
+        route_message(o, &Transport::Direct, policy, faults, retry, None, rng, &mut scratch).clone()
+    }
+
+    /// [`route`] without a fault plan.
+    fn clean(o: &Overlay, policy: RoutingPolicy, rng: &mut StdRng) -> RouteResult {
+        route(o, policy, None, &RetryPolicy::none(), rng)
+    }
+
     #[test]
     fn clean_overlay_always_delivers() {
         let o = overlay(MappingDegree::OneTo(2), 1);
@@ -593,7 +510,7 @@ mod tests {
             RoutingPolicy::Backtracking,
         ] {
             for _ in 0..50 {
-                let r = route_message(&o, &Transport::Direct, policy, &mut rng);
+                let r = clean(&o, policy, &mut rng);
                 assert!(r.delivered, "{policy} failed on a clean overlay");
                 // Path: layer1, layer2, layer3, filter.
                 assert_eq!(r.path.len(), 4);
@@ -616,7 +533,7 @@ mod tests {
             RoutingPolicy::Backtracking,
         ] {
             for _ in 0..20 {
-                let r = route_message(&o, &Transport::Direct, policy, &mut rng);
+                let r = clean(&o, policy, &mut rng);
                 assert!(!r.delivered, "{policy} slipped through a dead layer");
                 assert!(r.deepest_layer <= 1);
             }
@@ -643,18 +560,12 @@ mod tests {
             let mut g = 0u32;
             let mut b = 0u32;
             for _ in 0..40 {
-                if route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng)
+                if clean(&o, RoutingPolicy::RandomGood, &mut rng)
                     .delivered
                 {
                     g += 1;
                 }
-                if route_message(
-                    &o,
-                    &Transport::Direct,
-                    RoutingPolicy::Backtracking,
-                    &mut rng,
-                )
-                .delivered
+                if clean(&o, RoutingPolicy::Backtracking, &mut rng).delivered
                 {
                     b += 1;
                 }
@@ -685,7 +596,7 @@ mod tests {
             }
             for _ in 0..200 {
                 trials += 1;
-                if route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng)
+                if clean(&o, RoutingPolicy::RandomGood, &mut rng)
                     .delivered
                 {
                     hits += 1;
@@ -708,7 +619,7 @@ mod tests {
             o.set_status(n, NodeStatus::Congested);
         }
         let mut rng = StdRng::seed_from_u64(9);
-        let r = route_message(&o, &Transport::Direct, RoutingPolicy::RandomGood, &mut rng);
+        let r = clean(&o, RoutingPolicy::RandomGood, &mut rng);
         assert!(!r.delivered);
         assert_eq!(r.deepest_layer, 2);
     }
@@ -723,9 +634,9 @@ mod tests {
 
     #[test]
     fn no_plan_is_exactly_the_clean_path() {
-        // `route_message_with(…, None, …)` must be bit-identical to
-        // `route_message` — same rng consumption, same result, zero
-        // fault bookkeeping — even with an aggressive retry policy.
+        // Without a fault plan an aggressive retry policy must be
+        // bit-identical to `RetryPolicy::none()` — same rng consumption,
+        // same result, zero fault bookkeeping.
         let o = overlay(MappingDegree::OneTo(2), 21);
         for policy in [
             RoutingPolicy::RandomGood,
@@ -735,21 +646,15 @@ mod tests {
             let mut a = StdRng::seed_from_u64(22);
             let mut b = StdRng::seed_from_u64(22);
             for _ in 0..30 {
-                let plain = route_message(&o, &Transport::Direct, policy, &mut a);
-                let faulted = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    policy,
-                    None,
-                    &RetryPolicy::new(8, 2, 1_000),
-                    &mut b,
-                );
-                assert_eq!(plain, faulted);
-                assert_eq!(faulted.retries, 0);
-                assert_eq!(faulted.downgrades, 0);
-                assert_eq!(faulted.fault_ticks, 0);
-                assert!(faulted.incidents.is_empty());
+                let plain = clean(&o, policy, &mut a);
+                let retried = route(&o, policy, None, &RetryPolicy::new(8, 2, 1_000), &mut b);
+                assert_eq!(plain, retried);
+                assert_eq!(retried.retries, 0);
+                assert_eq!(retried.downgrades, 0);
+                assert_eq!(retried.fault_ticks, 0);
+                assert!(retried.incidents.is_empty());
             }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{policy}: rng end state");
         }
     }
 
@@ -766,14 +671,7 @@ mod tests {
             let mut retries = 0u64;
             for trial in 0..120u64 {
                 let plan = FaultPlan::new(&cfg, trial);
-                let r = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    RoutingPolicy::FirstGood,
-                    Some(&plan),
-                    &retry,
-                    &mut rng,
-                );
+                let r = route(&o, RoutingPolicy::FirstGood, Some(&plan), &retry, &mut rng);
                 delivered += u32::from(r.delivered);
                 retries += r.retries;
             }
@@ -800,14 +698,7 @@ mod tests {
         let mut saw_downgrade = false;
         for trial in 0..60u64 {
             let plan = FaultPlan::new(&cfg, trial);
-            let r = route_message_with(
-                &o,
-                &Transport::Direct,
-                RoutingPolicy::RandomGood,
-                Some(&plan),
-                &RetryPolicy::none(),
-                &mut rng,
-            );
+            let r = route(&o, RoutingPolicy::RandomGood, Some(&plan), &RetryPolicy::none(), &mut rng);
             for i in &r.incidents {
                 match i.kind {
                     RouteIncidentKind::Hop(HopIncident::Loss { .. }) => saw_loss = true,
@@ -841,7 +732,7 @@ mod tests {
     fn scratch_reuse_is_bit_identical_to_fresh_routing() {
         // One reused RouteScratch across many routes, policies, damage
         // patterns and fault plans must consume the RNG and produce
-        // results exactly like the allocating entry point.
+        // results exactly like a fresh scratch per call.
         let mut o = overlay(MappingDegree::OneTo(2), 31);
         for &n in o.layer_members(2).to_vec()[..5].iter() {
             o.set_status(n, NodeStatus::Congested);
@@ -861,20 +752,14 @@ mod tests {
                 let plan_a = (trial % 2 == 0).then(|| FaultPlan::new(&cfg, trial));
                 let plan_b = (trial % 2 == 0).then(|| FaultPlan::new(&cfg, trial));
                 let retry = RetryPolicy::new(3, 1, 128);
-                let fresh = route_message_with(
-                    &o,
-                    &Transport::Direct,
-                    policy,
-                    plan_a.as_ref(),
-                    &retry,
-                    &mut a,
-                );
-                let reused = route_message_into(
+                let fresh = route(&o, policy, plan_a.as_ref(), &retry, &mut a);
+                let reused = route_message(
                     &o,
                     &Transport::Direct,
                     policy,
                     plan_b.as_ref(),
                     &retry,
+                    None,
                     &mut b,
                     &mut scratch,
                 );
@@ -893,14 +778,7 @@ mod tests {
         let plan = FaultPlan::new(&cfg, 0);
         let mut rng = StdRng::seed_from_u64(28);
         for policy in [RoutingPolicy::RandomGood, RoutingPolicy::Backtracking] {
-            let r = route_message_with(
-                &o,
-                &Transport::Direct,
-                policy,
-                Some(&plan),
-                &RetryPolicy::new(4, 1, 64),
-                &mut rng,
-            );
+            let r = route(&o, policy, Some(&plan), &RetryPolicy::new(4, 1, 64), &mut rng);
             assert!(!r.delivered);
             assert_eq!(r.deepest_layer, 0);
             assert_eq!(r.retries, 0, "crashes are permanent, never retried");

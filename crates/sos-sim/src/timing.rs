@@ -7,7 +7,7 @@
 //! closed form can be validated and tail percentiles (which the closed
 //! form does not give) can be reported.
 
-use crate::routing::{route_message_into, RouteScratch, RoutingPolicy};
+use crate::routing::{route_message, RouteScratch, RoutingPolicy};
 use rand::Rng;
 use sos_faults::RetryPolicy;
 use sos_math::stats::{quantile, RunningStats};
@@ -93,7 +93,7 @@ pub fn measure_latency<R: Rng + ?Sized>(
     let retry = RetryPolicy::none();
     for _ in 0..routes {
         let result =
-            route_message_into(overlay, transport, policy, None, &retry, rng, &mut scratch);
+            route_message(overlay, transport, policy, None, &retry, None, rng, &mut scratch);
         if !result.delivered {
             failures += 1;
             continue;

@@ -1,5 +1,5 @@
 //! The batched SoA route kernel must be observationally pure: every
-//! lane equals the scalar `route_message_hint` oracle (same
+//! lane equals the scalar `route_message` oracle (same
 //! delivered/hops/incidents, same RNG sub-stream), and whole-run
 //! results are byte-identical at any batch width and thread count —
 //! each route draws from its own `route_lane_seed` stream, so lane
@@ -13,11 +13,23 @@ use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams
 use sos_faults::{FaultConfig, FaultPlan, RetryPolicy};
 use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Transport};
 use sos_sim::engine::{SimulationConfig, TransportKind};
-use sos_sim::routing::{route_message_hint, RouteScratch, RoutingPolicy};
+use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
 use sos_sim::{
     route_lane_seed, set_route_batch_width, stream, trial_stream_seed, RouteBatchScratch,
     Simulation, SweepExecutor,
 };
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that set the process-global batch width: the
+/// test harness runs tests on parallel threads, so without it one
+/// test's "width 1" pass could run at another test's width.
+static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
+fn width_lock() -> MutexGuard<'static, ()> {
+    // A panicking holder poisons the lock; every holder sets each width
+    // it runs at, so the width it left behind is harmless.
+    WIDTH_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const POLICIES: [RoutingPolicy; 3] = [
     RoutingPolicy::RandomGood,
@@ -93,7 +105,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Lane-for-lane: the batched fast path equals the scalar oracle —
-    /// and both equal a by-hand `route_message_hint` call seeded with
+    /// and both equal a by-hand `route_message` call seeded with
     /// the public `route_lane_seed` derivation — across all three
     /// routing policies, both transports, and fault plane on/off.
     #[test]
@@ -132,9 +144,9 @@ proptest! {
                         let mut rng = StdRng::seed_from_u64(
                             route_lane_seed(seed, trial, k as u64),
                         );
-                        let manual = route_message_hint(
+                        let manual = route_message(
                             &overlay, &transport, policy, plan_c.as_ref(),
-                            &RetryPolicy::none(), &mut rng, &mut scratch, alive,
+                            &RetryPolicy::none(), alive, &mut rng, &mut scratch,
                         );
                         prop_assert_eq!(
                             manual, expect,
@@ -175,6 +187,7 @@ fn sim_config(
 /// transports, fault plane on and off.
 #[test]
 fn run_parallel_byte_identical_across_widths_and_threads() {
+    let _width = width_lock();
     for transport in [TransportKind::Direct, TransportKind::Chord] {
         for (policy, faulted) in [
             (RoutingPolicy::RandomGood, false),
@@ -209,6 +222,7 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
 /// and recomputed points agree at any width.
 #[test]
 fn run_sweep_byte_identical_across_widths() {
+    let _width = width_lock();
     let configs: Vec<SimulationConfig> = [TransportKind::Direct, TransportKind::Chord]
         .into_iter()
         .flat_map(|t| {

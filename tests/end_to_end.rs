@@ -9,7 +9,8 @@ use sos::core::{
     SuccessiveParams, SystemParams,
 };
 use sos::overlay::{ChordRing, NodeId, Overlay, Transport};
-use sos::sim::routing::{route_message, RoutingPolicy};
+use sos::sim::routing::{route_message, RouteScratch, RoutingPolicy};
+use sos_faults::RetryPolicy;
 
 fn scenario() -> Scenario {
     Scenario::builder()
@@ -63,12 +64,17 @@ fn routing_respects_attack_damage() {
     )
     .execute(&mut overlay, &mut rng);
 
+    let mut scratch = RouteScratch::new();
     for _ in 0..200 {
         let result = route_message(
             &overlay,
             &Transport::Direct,
             RoutingPolicy::RandomGood,
+            None,
+            &RetryPolicy::none(),
+            None,
             &mut rng,
+            &mut scratch,
         );
         // Whatever path was taken, every node on it must be good.
         for node in &result.path {
@@ -87,6 +93,7 @@ fn realized_state_pricing_brackets_empirical_rate() {
     // empirical delivery rate on the same overlay is in the same
     // neighbourhood (binomial evaluator, random-good routing).
     let mut rng = StdRng::seed_from_u64(3);
+    let mut scratch = RouteScratch::new();
     let mut hits = 0u32;
     let mut total = 0u32;
     let mut predicted = 0.0f64;
@@ -105,7 +112,11 @@ fn realized_state_pricing_brackets_empirical_rate() {
                 &overlay,
                 &Transport::Direct,
                 RoutingPolicy::RandomGood,
+                None,
+                &RetryPolicy::none(),
+                None,
                 &mut rng,
+                &mut scratch,
             )
             .delivered
             {
@@ -134,7 +145,7 @@ fn chord_ring_covers_overlay_and_routes() {
         for &node in overlay.layer_members(layer).iter().take(10) {
             for &next in overlay.neighbors(node) {
                 assert!(
-                    transport.deliver(&overlay, node, next).is_delivered(),
+                    transport.deliver(&overlay, node, next, None).is_delivered(),
                     "{node} -> {next} not routable on a clean ring"
                 );
             }

@@ -219,7 +219,7 @@ fn sim_config_with_ignores_the_spec_attack_fields() {
     let spec = SimSpec { model: "nonsense".into(), pe: 7.0, ..small_spec() };
     assert_eq!(message(spec.sim_config().unwrap_err()), "unknown model `nonsense`");
     let attack = AttackConfig::OneBurst { budget: AttackBudget::new(10, 40) };
-    let with = spec.sim_config_with(attack.clone()).unwrap();
+    let with = spec.sim_config_with(attack).unwrap();
     let reference = SimSpec { model: "one-burst".into(), ..small_spec() };
     assert_eq!(config_fingerprint(&with), config_fingerprint(&reference.sim_config().unwrap()));
 }
@@ -228,7 +228,7 @@ fn sim_config_with_ignores_the_spec_attack_fields() {
 fn sim_config_with_still_validates_counts_and_labels() {
     let attack = AttackConfig::OneBurst { budget: AttackBudget::new(10, 40) };
     let zero = SimSpec { trials: 0, ..small_spec() };
-    assert!(message(zero.sim_config_with(attack.clone()).unwrap_err()).contains("`trials`"));
+    assert!(message(zero.sim_config_with(attack).unwrap_err()).contains("`trials`"));
     let bad_transport = SimSpec { transport: "bogus".into(), ..small_spec() };
     assert_eq!(
         message(bad_transport.sim_config_with(attack).unwrap_err()),
