@@ -11,8 +11,10 @@
 //! The implementation is a faithful, simulation-grade Chord:
 //!
 //! * 64-bit circular identifier space,
-//! * per-node finger tables (`finger[k] = successor(id + 2^k)`),
-//! * successor lists for fault tolerance,
+//! * fingers (`finger[k] = successor(id + 2^k)`) and successor lists
+//!   for fault tolerance, held together as one flat table of sorted
+//!   clockwise position offsets per node (the successor list is the
+//!   implicit prefix `1..=L`),
 //! * iterative greedy lookup via closest-preceding-finger,
 //! * failure-aware lookup that routes around dead nodes using fingers
 //!   and successor lists,
@@ -27,6 +29,7 @@ use crate::bitset::NodeBitSet;
 use crate::node::NodeId;
 use rand::Rng;
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Bits in the identifier space (and maximum finger-table size).
 pub const ID_BITS: usize = 64;
@@ -62,18 +65,21 @@ pub struct ChordRing {
     /// `position_of[node.index()]` = ring position, `u32::MAX` when the
     /// node is not on the ring (dense map: members are overlay ids).
     position_of: Vec<u32>,
-    /// `fingers[pos][k]` = position of `successor(ids[pos] + 2^k)`.
-    fingers: Vec<Vec<usize>>,
-    /// `successors[pos]` = the next `SUCCESSOR_LIST_LEN` positions.
-    successors: Vec<Vec<usize>>,
-    /// `steps[pos]` = the distinct clockwise position-offsets of every
-    /// finger and successor-list entry of `pos`, sorted ascending. Ids
-    /// ascend with ring position, so the clockwise distance to a key
-    /// strictly decreases along the arc from `pos` to the key's owner:
-    /// the greedy step (distance-argmin over alive candidates) is the
-    /// alive entry with the largest offset not past the owner, found by
-    /// scanning this table backward from the owner's offset.
-    steps: Vec<Vec<u32>>,
+    /// Row starts of the step table (`n + 1` entries): the steps of
+    /// `pos` are `step_offs[step_start[pos]..step_start[pos + 1]]`.
+    step_start: Vec<u32>,
+    /// The distinct clockwise position-offsets of every finger and
+    /// successor-list entry of each node, sorted ascending per row. Each
+    /// row is `1..=L` (the successor list, `L = min(16, n − 1)`)
+    /// followed by the finger offsets past `L`. Ids ascend with ring
+    /// position, so the clockwise distance to a key strictly decreases
+    /// along the arc from `pos` to the key's owner: the greedy step
+    /// (distance-argmin over alive candidates) is the alive entry with
+    /// the largest offset not past the owner, found by scanning the row
+    /// backward from the owner's offset.
+    step_offs: Vec<u32>,
+    /// Level-major finger-offset scratch reused by the table build.
+    levels: Vec<u32>,
     /// Identifier-draw scratch reused by [`ChordRing::build_into`].
     pairs: Vec<(u64, NodeId)>,
 }
@@ -118,22 +124,25 @@ impl ChordRing {
     ///
     /// Panics if `members` is empty or contains duplicates.
     pub fn build<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId]) -> Self {
-        let mut ring = ChordRing {
-            ids: Vec::new(),
-            members: Vec::new(),
-            position_of: Vec::new(),
-            fingers: Vec::new(),
-            successors: Vec::new(),
-            steps: Vec::new(),
-            pairs: Vec::new(),
-        };
+        let mut ring = ChordRing::empty();
         ring.build_into(rng, members);
         ring
     }
 
+    fn empty() -> Self {
+        ChordRing {
+            ids: Vec::new(),
+            members: Vec::new(),
+            position_of: Vec::new(),
+            step_start: Vec::new(),
+            step_offs: Vec::new(),
+            levels: Vec::new(),
+            pairs: Vec::new(),
+        }
+    }
+
     /// Rebuilds this ring in place over `members`, reusing every existing
-    /// allocation (identifier table, finger tables, successor lists,
-    /// draw scratch).
+    /// allocation (identifier table, step table, draw scratch).
     ///
     /// Consumes the RNG identically to [`ChordRing::build`], so a reused
     /// ring is indistinguishable from a freshly built one at the same RNG
@@ -190,7 +199,8 @@ impl ChordRing {
         self.members[self.successor_position(key)]
     }
 
-    /// The immediate ring successor of a member node.
+    /// The immediate ring successor of a member node (the node itself
+    /// on a single-node ring).
     ///
     /// # Panics
     ///
@@ -199,7 +209,7 @@ impl ChordRing {
         let pos = self
             .position(node)
             .unwrap_or_else(|| panic!("{node} is not on the ring"));
-        self.members[self.successors[pos][0]]
+        self.members[(pos + 1) % self.len()]
     }
 
     /// Iterative Chord lookup of `key` starting at `from`, assuming all
@@ -225,29 +235,9 @@ impl ChordRing {
     where
         F: Fn(NodeId) -> bool,
     {
-        let mut pos = self
-            .position(from)
-            .unwrap_or_else(|| panic!("{from} is not on the ring"));
-        let owner_pos = self.successor_position(key);
-        let owner = self.members[owner_pos];
-        if !is_alive(owner) {
-            return None;
-        }
-        let mut path = vec![self.members[pos]];
-        // Greedy routing strictly shrinks clockwise distance to the key,
-        // so n hops is a hard upper bound; the explicit cap also guards
-        // the degenerate everything-dead cases.
-        let max_hops = self.len() + SUCCESSOR_LIST_LEN + 1;
-        for _ in 0..max_hops {
-            if pos == owner_pos {
-                return Some(LookupOutcome { owner, path });
-            }
-            let next = self.best_alive_step(pos, owner_pos, &is_alive)?;
-            debug_assert_ne!(next, pos, "routing must make progress");
-            pos = next;
-            path.push(self.members[pos]);
-        }
-        None
+        let mut path = Vec::new();
+        let (owner, _) = self.walk(from, key, &is_alive, true, Some(&mut path))?;
+        Some(LookupOutcome { owner, path })
     }
 
     /// Allocation-free variant of [`ChordRing::lookup_avoiding`] for hot
@@ -268,24 +258,7 @@ impl ChordRing {
     where
         F: Fn(NodeId) -> bool,
     {
-        let mut pos = self
-            .position(from)
-            .unwrap_or_else(|| panic!("{from} is not on the ring"));
-        let owner_pos = self.successor_position(key);
-        let owner = self.members[owner_pos];
-        if !is_alive(owner) {
-            return None;
-        }
-        let max_hops = self.len() + SUCCESSOR_LIST_LEN + 1;
-        for hops in 0..max_hops {
-            if pos == owner_pos {
-                return Some((owner, hops));
-            }
-            let next = self.best_alive_step(pos, owner_pos, &is_alive)?;
-            debug_assert_ne!(next, pos, "routing must make progress");
-            pos = next;
-        }
-        None
+        self.walk(from, key, &is_alive, true, None)
     }
 
     /// Degraded-mode lookup: ignore finger tables entirely and walk
@@ -303,32 +276,9 @@ impl ChordRing {
     where
         F: Fn(NodeId) -> bool,
     {
-        let mut pos = self
-            .position(from)
-            .unwrap_or_else(|| panic!("{from} is not on the ring"));
-        let owner_pos = self.successor_position(key);
-        let owner = self.members[owner_pos];
-        if !is_alive(owner) {
-            return None;
-        }
-        let mut path = vec![self.members[pos]];
-        // Each step advances at least one position clockwise, so n steps
-        // suffice to come full circle.
-        for _ in 0..self.len() {
-            if pos == owner_pos {
-                return Some(LookupOutcome { owner, path });
-            }
-            // First alive successor; because the owner is alive, the
-            // walk can never step past it (the entry *is* the owner when
-            // every position in between is dead).
-            let next = self.successors[pos]
-                .iter()
-                .copied()
-                .find(|&s| s == owner_pos || is_alive(self.members[s]))?;
-            pos = next;
-            path.push(self.members[pos]);
-        }
-        None
+        let mut path = Vec::new();
+        let (owner, _) = self.walk(from, key, &is_alive, false, Some(&mut path))?;
+        Some(LookupOutcome { owner, path })
     }
 
     /// Allocation-free variant of [`ChordRing::successor_walk`] for hot
@@ -346,6 +296,24 @@ impl ChordRing {
     where
         F: Fn(NodeId) -> bool,
     {
+        self.walk(from, key, &is_alive, false, None)
+    }
+
+    /// The walk behind the four lookups: greedy finger steps, or
+    /// successor-list steps when `greedy` is false. Records the visited
+    /// members into `path` when given and returns `(owner, hops)`, or
+    /// `None` when the owner is dead or the walk is blocked.
+    fn walk<F>(
+        &self,
+        from: NodeId,
+        key: u64,
+        is_alive: &F,
+        greedy: bool,
+        mut path: Option<&mut Vec<NodeId>>,
+    ) -> Option<(NodeId, usize)>
+    where
+        F: Fn(NodeId) -> bool,
+    {
         let mut pos = self
             .position(from)
             .unwrap_or_else(|| panic!("{from} is not on the ring"));
@@ -354,15 +322,32 @@ impl ChordRing {
         if !is_alive(owner) {
             return None;
         }
-        for hops in 0..self.len() {
+        if let Some(path) = path.as_deref_mut() {
+            path.push(self.members[pos]);
+        }
+        // Greedy routing strictly shrinks clockwise distance to the key,
+        // so n hops is a hard upper bound; the explicit cap also guards
+        // the degenerate everything-dead cases. A successor-list step
+        // advances at least one position, so n steps come full circle.
+        let max_hops = self.len() + if greedy { SUCCESSOR_LIST_LEN + 1 } else { 0 };
+        for hops in 0..max_hops {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.successors[pos]
-                .iter()
-                .copied()
-                .find(|&s| s == owner_pos || is_alive(self.members[s]))?;
+            let next = if greedy {
+                self.best_alive_step(pos, owner_pos, is_alive)?
+            } else {
+                // The first alive successor can never step past the
+                // alive owner (the entry *is* the owner when every
+                // position in between is dead).
+                self.successor_list(pos)
+                    .find(|&s| s == owner_pos || is_alive(self.members[s]))?
+            };
+            debug_assert_ne!(next, pos, "routing must make progress");
             pos = next;
+            if let Some(path) = path.as_deref_mut() {
+                path.push(self.members[pos]);
+            }
         }
         None
     }
@@ -405,6 +390,18 @@ impl ChordRing {
         successor_position_in(&self.ids, key)
     }
 
+    /// The successor list of `pos`: the next `min(16, n − 1)` positions.
+    fn successor_list(&self, pos: usize) -> impl Iterator<Item = usize> {
+        let n = self.len();
+        (1..=SUCCESSOR_LIST_LEN.min(n - 1)).map(move |k| (pos + k) % n)
+    }
+
+    /// The step-table row of `pos` (see the `step_offs` field).
+    #[inline]
+    fn steps(&self, pos: usize) -> &[u32] {
+        &self.step_offs[self.step_start[pos] as usize..self.step_start[pos + 1] as usize]
+    }
+
     /// The best alive next hop from `pos` toward `key` (whose owner is
     /// at `owner_pos`).
     ///
@@ -427,7 +424,7 @@ impl ChordRing {
     {
         let n = self.len();
         let owner_off = (owner_pos + n - pos) % n;
-        let offs = &self.steps[pos];
+        let offs = self.steps(pos);
         let hi = offs.partition_point(|&o| (o as usize) <= owner_off);
         for &o in offs[..hi].iter().rev() {
             let mut cand = pos + o as usize;
@@ -441,21 +438,24 @@ impl ChordRing {
         None
     }
 
-    /// Rebuilds position, successor-list and finger-table state from
-    /// `ids`/`members`, reusing existing allocations.
+    /// Rebuilds the position map and the step table from `ids`/`members`,
+    /// reusing existing allocations.
     ///
-    /// Finger tables are built level-batched over the sorted id array
-    /// (structure-of-arrays order): for a fixed finger level `k`, the
-    /// targets `ids[p] + 2^k` are themselves sorted in `p` (up to one
-    /// wrap split), so one monotone two-pointer merge resolves that
-    /// level for *every* node in O(n) — where the per-node construction
-    /// pays a `log n` binary search per level. Levels with
-    /// `2^k <=` the minimum clockwise gap (including the wrap gap)
-    /// resolve to the ring successor for every node and dedup away, so
-    /// they are skipped outright — at simulation scales (min gap ≈
-    /// `2^64 / n²`) that skips well over half the 64 levels. The result
-    /// is identical to the exhaustive per-`k` scan (see
-    /// [`ChordRing::build_reference`] and the oracle tests).
+    /// The table is built without a sort. Finger targets `ids[p] + 2^k`
+    /// move clockwise as `k` grows, so a node's finger offsets never
+    /// decrease with `k` — until a target passes the predecessor and
+    /// wraps to the node itself, which is dropped. A row is therefore
+    /// `1..=L` followed by every finger offset above the last one
+    /// emitted: already sorted and distinct.
+    ///
+    /// Levels with `2^k` at or below the smallest span `ids[p + L] −
+    /// ids[p]` land inside every node's successor list and are skipped
+    /// (about 54 of the 64 at n = 10⁴). Each remaining level is resolved
+    /// for every node at once: the targets ascend in `p` (up to one wrap
+    /// split), so a forward merge against `ids` finds them all in O(n).
+    /// The levels land in a level-major scratch, and one node-major pass
+    /// emits the rows. The result equals the exhaustive per-`k` scan of
+    /// [`ChordRing::build_reference`] (see the oracle tests).
     ///
     /// # Panics
     ///
@@ -474,99 +474,71 @@ impl ChordRing {
             *slot = p as u32;
         }
 
-        // Successor lists depend only on `n` (entries are `(p+k) % n`),
-        // so a rebuild at unchanged ring size — the per-trial hot case —
-        // reuses them untouched. The lists are only ever written here,
-        // always consistently with their length, so `len == n` with the
-        // right per-list length certifies them.
-        let list_len = SUCCESSOR_LIST_LEN.min(n.saturating_sub(1));
-        let successors_valid = self.successors.len() == n
-            && self.successors.first().is_none_or(|l| l.len() == list_len);
-        if !successors_valid {
-            for list in &mut self.successors {
-                list.clear();
+        let ids = &self.ids;
+        let list_len = SUCCESSOR_LIST_LEN.min(n - 1);
+        // Smallest clockwise span from a node to its last successor-list
+        // entry (0 on a single-node ring, where every finger is the node
+        // itself). Levels `2^k <= min_span` add nothing to any row.
+        let min_span = ids[list_len..]
+            .iter()
+            .zip(ids)
+            .chain(ids[..list_len].iter().zip(&ids[n - list_len..]))
+            .map(|(&end, &start)| end.wrapping_sub(start))
+            .min()
+            .unwrap_or(0);
+        let first_level = (u64::BITS - min_span.leading_zeros()) as usize;
+        let level_count = ID_BITS - first_level;
+
+        // `levels[r * n + p]` = clockwise offset of finger `first_level + r`
+        // of `p`, with `n` standing for the node itself.
+        self.levels.clear();
+        self.levels.resize(level_count * n, 0);
+        let top = ids[n - 1];
+        for (r, out) in self.levels.chunks_exact_mut(n).enumerate() {
+            let d = 1u64 << (first_level + r);
+            // Targets `ids[p] + d` up to `top` resolve by a merge that
+            // never runs off the end; larger ones that do not overflow
+            // wrap to position 0; overflowing ones wrap past zero and
+            // resolve by a second merge, landing at or before `p`.
+            let in_range = if top >= d {
+                ids.partition_point(|&id| id <= top - d)
+            } else {
+                0
+            };
+            let no_overflow = ids.partition_point(|&id| id <= u64::MAX - d);
+            merge_level(ids, d, 0..in_range, out);
+            for (p, o) in out.iter_mut().enumerate().take(no_overflow).skip(in_range) {
+                *o = (n - p) as u32;
             }
-            self.successors.resize_with(n, Vec::new);
-            for (p, list) in self.successors.iter_mut().enumerate() {
-                list.clear();
-                list.extend((1..=list_len).map(|k| (p + k) % n));
-            }
+            merge_level(ids, d, no_overflow..n, out);
         }
 
-        for table in &mut self.fingers {
-            table.clear();
-        }
-        self.fingers.resize_with(n, Vec::new);
-        let ids = &self.ids;
-        if n == 1 {
-            self.fingers[0].push(0);
-            self.rebuild_steps();
-            return;
-        }
-        // Every table starts at the ring successor: each level `k` with
-        // `2^k` inside the successor gap resolves there and dedups away.
-        for (p, table) in self.fingers.iter_mut().enumerate() {
-            table.push((p + 1) % n);
-        }
-        // Minimum clockwise gap, wrap gap included: a level whose span
-        // fits inside *every* gap lands each target strictly between a
-        // node and its successor, so the whole level dedups away and is
-        // skipped without a scan.
-        let mut min_gap = ids[0].wrapping_sub(ids[n - 1]);
-        for w in ids.windows(2) {
-            min_gap = min_gap.min(w[1] - w[0]);
-        }
-        for k in 0..ID_BITS {
-            let d = 1u64 << k;
-            if d <= min_gap {
-                continue;
-            }
-            // `ids` is sorted, so within each of the two segments below
-            // the targets ascend in `p` and the circular lower bound
-            // `s(p)` ascends with them — one forward-only merge pointer
-            // per segment resolves the level in O(n).
-            //
-            // Segment A: `ids[p] + d` does not overflow. Targets are the
-            // absolute values `ids[p] + d`; a target past the largest id
-            // wraps to position 0.
-            let no_overflow = ids.partition_point(|&id| id <= u64::MAX - d);
-            let mut q = 0usize;
-            for p in 0..no_overflow {
-                let t = ids[p] + d;
-                while q < n && ids[q] < t {
-                    q += 1;
-                }
-                let s = if q == n { 0 } else { q };
-                let table = &mut self.fingers[p];
-                if *table.last().expect("table is non-empty") != s {
-                    table.push(s);
+        let level_offs = &self.levels;
+        let offs = &mut self.step_offs;
+        self.step_start.clear();
+        self.step_start.push(0);
+        offs.clear();
+        offs.reserve(n * (list_len + level_count));
+        for p in 0..n {
+            offs.extend(1..=list_len as u32);
+            let mut last = list_len as u32;
+            for i in (p..level_offs.len()).step_by(n) {
+                let o = level_offs[i];
+                if last < o && o < n as u32 {
+                    offs.push(o);
+                    last = o;
                 }
             }
-            // Segment B: `ids[p] + d` wraps past zero. The wrapped
-            // targets are again ascending in `p` (same offset, larger
-            // bases), and always land at or before `p` itself.
-            let mut q = 0usize;
-            for p in no_overflow..n {
-                let t = ids[p].wrapping_add(d);
-                while q < n && ids[q] < t {
-                    q += 1;
-                }
-                let s = if q == n { 0 } else { q };
-                let table = &mut self.fingers[p];
-                if *table.last().expect("table is non-empty") != s {
-                    table.push(s);
-                }
-            }
+            self.step_start.push(offs.len() as u32);
         }
-        self.rebuild_steps();
     }
 
     /// Exhaustive reference construction: identical RNG consumption and
-    /// output to [`ChordRing::build`], but finger tables are built with
-    /// the original per-`k` binary-search scan and all routing state is
-    /// freshly allocated. Kept as the correctness oracle for the
-    /// gap-shortcut construction and as the "before" cost model for the
-    /// perf baseline.
+    /// output to [`ChordRing::build`], but each node's fingers come from
+    /// the original per-`k` binary-search scan and its step row from a
+    /// collect, sort and dedup, all freshly allocated. Kept as the
+    /// correctness oracle for the sort-free construction and as the
+    /// "before" cost model for the perf baseline.
     #[doc(hidden)]
     pub fn build_reference<R: Rng + ?Sized>(rng: &mut R, members: &[NodeId]) -> Self {
         assert!(!members.is_empty(), "a Chord ring needs at least one node");
@@ -575,52 +547,49 @@ impl ChordRing {
 
         let mut pairs: Vec<(u64, NodeId)> = Vec::new();
         draw_ring_ids(rng, members, &mut pairs);
+        Self::reference_from_sorted(
+            pairs.iter().map(|&(id, _)| id).collect(),
+            pairs.iter().map(|&(_, m)| m).collect(),
+        )
+    }
 
-        let ids: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
-        let members: Vec<NodeId> = pairs.iter().map(|&(_, m)| m).collect();
+    /// The table construction of [`ChordRing::build_reference`] over
+    /// given sorted, distinct `ids`.
+    fn reference_from_sorted(ids: Vec<u64>, members: Vec<NodeId>) -> Self {
         let n = ids.len();
         // The pre-optimization implementation kept a hash position map.
-        let position_map: std::collections::HashMap<NodeId, usize> = members
-            .iter()
-            .enumerate()
-            .map(|(p, &m)| (m, p))
-            .collect();
+        let position_map: std::collections::HashMap<NodeId, usize> =
+            members.iter().enumerate().map(|(p, &m)| (m, p)).collect();
         let max_index = members.iter().map(|m| m.index()).max().unwrap_or(0);
         let mut position_of = vec![u32::MAX; max_index + 1];
         for (&m, &p) in &position_map {
             position_of[m.index()] = p as u32;
         }
-        let successors: Vec<Vec<usize>> = (0..n)
-            .map(|p| {
-                (1..=SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)))
-                    .map(|k| (p + k) % n)
-                    .collect()
-            })
-            .collect();
-        let fingers: Vec<Vec<usize>> = (0..n)
-            .map(|p| {
-                let base = ids[p];
-                let mut table = Vec::with_capacity(ID_BITS);
-                for k in 0..ID_BITS {
-                    let target = base.wrapping_add(1u64 << k);
-                    table.push(successor_position_in(&ids, target));
-                }
-                table.dedup();
-                table
-            })
-            .collect();
-
-        let mut ring = ChordRing {
+        let mut step_start = vec![0u32];
+        let mut step_offs = Vec::new();
+        for p in 0..n {
+            let fingers =
+                (0..ID_BITS).map(|k| successor_position_in(&ids, ids[p].wrapping_add(1u64 << k)));
+            let successors = (1..=SUCCESSOR_LIST_LEN.min(n - 1)).map(|k| (p + k) % n);
+            let mut row: Vec<u32> = fingers
+                .chain(successors)
+                .map(|c| ((c + n - p) % n) as u32)
+                .filter(|&o| o != 0)
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            step_offs.extend(row);
+            step_start.push(step_offs.len() as u32);
+        }
+        ChordRing {
             ids,
             members,
             position_of,
-            fingers,
-            successors,
-            steps: Vec::new(),
+            step_start,
+            step_offs,
+            levels: Vec::new(),
             pairs: Vec::new(),
-        };
-        ring.rebuild_steps();
-        ring
+        }
     }
 
     /// Fills `mask` with the ring *positions* whose member satisfies
@@ -752,9 +721,8 @@ impl ChordRing {
             if pos == owner_pos {
                 return Some((owner, hops));
             }
-            let next = self.successors[pos]
-                .iter()
-                .copied()
+            let next = self
+                .successor_list(pos)
                 .find(|&s| s == owner_pos || s == from_pos || alive.contains_index(s))?;
             pos = next;
         }
@@ -773,7 +741,7 @@ impl ChordRing {
     ) -> Option<usize> {
         let n = self.len();
         let owner_off = (owner_pos + n - pos) % n;
-        let offs = &self.steps[pos];
+        let offs = self.steps(pos);
         let hi = offs.partition_point(|&o| (o as usize) <= owner_off);
         for &o in offs[..hi].iter().rev() {
             let mut cand = pos + o as usize;
@@ -786,29 +754,42 @@ impl ChordRing {
         }
         None
     }
+}
 
-    /// Rebuilds `steps` (the sorted clockwise-offset form of each node's
-    /// candidate set) from the current finger tables and successor
-    /// lists, reusing existing allocations.
-    fn rebuild_steps(&mut self) {
-        let n = self.len();
-        for table in &mut self.steps {
-            table.clear();
+/// Resolves finger level `d` for the positions in `range`, whose targets
+/// `ids[p] + d` (wrapping) ascend with `p`: `out[p]` becomes the clockwise
+/// offset from `p` of the first position `q` with `ids[q]` at or past the
+/// target, `n` standing for `p` itself.
+///
+/// A forward merge: each step either advances `q` past an id below the
+/// target or settles `p`, branch-free. The two halves of `range` merge
+/// in lockstep so that their load-compare chains overlap.
+fn merge_level(ids: &[u64], d: u64, range: Range<usize>, out: &mut [u32]) {
+    let n = ids.len();
+    let lane = |p: usize, end: usize| {
+        let q = if p < end {
+            ids.partition_point(|&id| id < ids[p].wrapping_add(d))
+        } else {
+            0
+        };
+        (p, end, q)
+    };
+    let mid = range.start + range.len() / 2;
+    let mut lanes = [lane(range.start, mid), lane(mid, range.end)];
+    let step = |(p, _, q): &mut (usize, usize, usize), out: &mut [u32]| {
+        let advance = ids[*q] < ids[*p].wrapping_add(d);
+        out[*p] = if *q > *p { *q - *p } else { *q + n - *p } as u32;
+        *q += advance as usize;
+        *p += !advance as usize;
+    };
+    while lanes.iter().all(|l| l.0 < l.1) {
+        for l in &mut lanes {
+            step(l, out);
         }
-        self.steps.resize_with(n, Vec::new);
-        let fingers = &self.fingers;
-        let successors = &self.successors;
-        for (p, table) in self.steps.iter_mut().enumerate() {
-            table.clear();
-            table.extend(
-                fingers[p]
-                    .iter()
-                    .chain(successors[p].iter())
-                    .map(|&c| ((c + n - p) % n) as u32)
-                    .filter(|&o| o != 0),
-            );
-            table.sort_unstable();
-            table.dedup();
+    }
+    for l in &mut lanes {
+        while l.0 < l.1 {
+            step(l, out);
         }
     }
 }
@@ -844,7 +825,9 @@ mod tests {
     /// it: scan every finger and successor-list entry, take the owner
     /// outright if present and alive, else the distance-argmin among
     /// alive candidates strictly closer to the key. Oracle for
-    /// `best_alive_step_masked`'s backward offset scan.
+    /// `best_alive_step_masked`'s backward offset scan; its candidates
+    /// come from its own exhaustive finger scan over `ids`, not from
+    /// the step table under test.
     fn distance_scan_step(
         r: &ChordRing,
         pos: usize,
@@ -855,7 +838,11 @@ mod tests {
     ) -> Option<usize> {
         let my_dist = clockwise_distance(r.ids[pos], key);
         let mut best: Option<(u64, usize)> = None;
-        for &cand in r.fingers[pos].iter().chain(r.successors[pos].iter()) {
+        let n = r.len();
+        let fingers =
+            (0..ID_BITS).map(|k| successor_position_in(&r.ids, r.ids[pos].wrapping_add(1u64 << k)));
+        let successors = (1..=SUCCESSOR_LIST_LEN.min(n - 1)).map(|k| (pos + k) % n);
+        for cand in fingers.chain(successors) {
             if cand == pos {
                 continue;
             }
@@ -1031,6 +1018,7 @@ mod tests {
         let out = r.lookup(NodeId(7), u64::MAX);
         assert_eq!(out.owner, NodeId(7));
         assert_eq!(out.hops(), 0);
+        assert_eq!(r.successor(NodeId(7)), NodeId(7));
     }
 
     #[test]
@@ -1052,13 +1040,82 @@ mod tests {
         assert_eq!(a.ids, b.ids);
         assert_eq!(a.members, b.members);
         assert_eq!(a.position_of, b.position_of);
-        assert_eq!(a.successors, b.successors);
-        assert_eq!(a.fingers, b.fingers);
+        assert_eq!(a.step_start, b.step_start);
+        assert_eq!(a.step_offs, b.step_offs);
+    }
+
+    /// Builds rings over the given sorted, distinct `ids` through the
+    /// production construction and through the exhaustive reference
+    /// scan, asserts they agree and returns the production ring.
+    fn assert_construction_matches_reference(ids: &[u64]) -> ChordRing {
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "ids must be sorted and distinct"
+        );
+        let members: Vec<NodeId> = (0..ids.len() as u32).map(NodeId).collect();
+        let mut fast = ChordRing::empty();
+        fast.ids = ids.to_vec();
+        fast.members = members.clone();
+        fast.rebuild_tables();
+        let reference = ChordRing::reference_from_sorted(ids.to_vec(), members);
+        assert_same_ring(&fast, &reference);
+        fast
+    }
+
+    #[test]
+    fn construction_matches_reference_around_successor_list_length() {
+        // `L = min(16, n − 1)`: every finger is in the list at n <= 17.
+        for n in [2u32, 16, 17, 18] {
+            let mut rng = StdRng::seed_from_u64(u64::from(n) + 70);
+            let mut ids: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            ids.sort_unstable();
+            assert_construction_matches_reference(&ids);
+        }
+    }
+
+    #[test]
+    fn construction_matches_reference_on_clustered_ids() {
+        // Consecutive ids make the smallest span tiny, so nearly every
+        // level is resolved, and fingers past the cluster wrap to
+        // position 0 (or to the node itself at position 0).
+        assert_construction_matches_reference(&[5, 6]);
+        assert_construction_matches_reference(&(1000..1040).collect::<Vec<u64>>());
+        let mut ids: Vec<u64> = (0..30).collect();
+        ids.extend((0..30u64).map(|i| (i + 1) << 58));
+        assert_construction_matches_reference(&ids);
+    }
+
+    #[test]
+    fn construction_matches_reference_across_the_wrap() {
+        // Ids straddling 0 / u64::MAX: targets of the top nodes overflow
+        // and resolve through the wrapped merge segment, and the tightest
+        // successor-list span is one that crosses zero.
+        let mut ids: Vec<u64> = (0..10).chain((0..10).map(|i| u64::MAX - i)).collect();
+        ids.extend([1 << 62, 1 << 63, (1 << 63) + 1, u64::MAX / 3]);
+        ids.sort_unstable();
+        assert_construction_matches_reference(&ids);
+    }
+
+    #[test]
+    fn construction_drops_a_top_finger_wrapped_to_self() {
+        // Position 0's predecessor gap exceeds 2^63, so its 2^63 finger
+        // passes every other node and lands on itself (offset 0).
+        let ids: Vec<u64> = (0..30u64).map(|i| i << 40).collect();
+        let fast = assert_construction_matches_reference(&ids);
+        assert!(fast.steps(0).iter().all(|&o| o != 0 && o < 30));
     }
 
     #[test]
     fn gap_shortcut_matches_reference_construction() {
-        for (n, seed) in [(1u32, 0u64), (2, 1), (3, 2), (17, 3), (64, 4), (500, 5)] {
+        for (n, seed) in [
+            (1u32, 0u64),
+            (2, 1),
+            (3, 2),
+            (17, 3),
+            (64, 4),
+            (500, 5),
+            (10_000, 6),
+        ] {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
@@ -1173,10 +1230,10 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_across_sizes_keeps_successor_lists_correct() {
-        // The successor-list fast path skips the rebuild when n is
-        // unchanged; cycle through sizes (n, other n, back) and check
-        // every list against its definition.
+    fn rebuild_across_sizes_keeps_step_rows_correct() {
+        // A reused ring shrinks and grows its flat step table; cycle
+        // through sizes (n, other n, back) and check every row starts
+        // with its successor list and ascends strictly within `1..n`.
         let mut r = ring(64, 40);
         for n in [64u32, 64, 200, 17, 17, 1, 64] {
             let members: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -1184,10 +1241,14 @@ mod tests {
             r.build_into(&mut rng, &members);
             let n = n as usize;
             let list_len = SUCCESSOR_LIST_LEN.min(n - 1);
-            assert_eq!(r.successors.len(), n);
-            for (p, list) in r.successors.iter().enumerate() {
-                let expect: Vec<usize> = (1..=list_len).map(|k| (p + k) % n).collect();
-                assert_eq!(*list, expect, "position {p} of {n}");
+            assert_eq!(r.step_start.len(), n + 1);
+            assert_eq!(*r.step_start.last().unwrap() as usize, r.step_offs.len());
+            for p in 0..n {
+                let row = r.steps(p);
+                let expect: Vec<u32> = (1..=list_len as u32).collect();
+                assert_eq!(row[..list_len], expect[..], "position {p} of {n}");
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "position {p} of {n}");
+                assert!(row.iter().all(|&o| (o as usize) < n), "position {p} of {n}");
             }
         }
     }
