@@ -57,7 +57,7 @@ pub mod successive;
 pub mod trace;
 
 pub use knowledge::AttackerKnowledge;
-pub use observe::emit_attack_events;
+pub use observe::{attack_event_count, emit_attack_events};
 pub use monitoring::{LayeringModel, MonitoringAttacker, MonitoringOutcome};
 pub use one_burst::OneBurstAttacker;
 pub use outcome::{AttackOutcome, RoundSummary};

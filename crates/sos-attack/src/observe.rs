@@ -88,6 +88,19 @@ pub fn emit_attack_events(
     emit(t, EventKind::PhaseEnd { phase: closing });
 }
 
+/// The number of events [`emit_attack_events`] records for `trace` —
+/// the ticks it advances: one per trace event, the break-in span's two
+/// markers, and two more (break-in end, congestion start) when the
+/// trace contains congestion. Callers with a disabled recorder advance
+/// their tick clock by this instead of replaying.
+pub fn attack_event_count(trace: &AttackTrace) -> u64 {
+    let congested = trace
+        .events()
+        .iter()
+        .any(|event| matches!(event, AttackEvent::Congestion { .. }));
+    trace.len() as u64 + if congested { 4 } else { 2 }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +180,40 @@ mod tests {
                     "layer annotation mismatch for node {node}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn event_count_matches_what_the_bridge_records() {
+        let (overlay, attacked) = attacked_overlay();
+        let mut break_in_only = AttackTrace::new();
+        break_in_only.record(AttackEvent::PriorKnowledge { node: NodeId(3) });
+        break_in_only.record(AttackEvent::BreakInAttempt {
+            round: 1,
+            node: NodeId(3),
+            succeeded: true,
+        });
+        break_in_only.record(AttackEvent::Disclosure {
+            round: 1,
+            source: NodeId(3),
+            revealed: NodeId(4),
+        });
+        assert!(attacked
+            .events()
+            .iter()
+            .any(|e| matches!(e, AttackEvent::Congestion { .. })));
+        for (label, trace, expected) in [
+            ("empty", AttackTrace::new(), 2),
+            ("break-in only", break_in_only, 5),
+            ("with congestion", attacked.clone(), attacked.len() as u64 + 4),
+        ] {
+            let recorder = MemoryRecorder::new();
+            let mut t = 0u64;
+            emit_attack_events(&trace, &overlay, 0, &mut t, &recorder);
+            let recorded = recorder.take_events().len() as u64;
+            assert_eq!(attack_event_count(&trace), recorded, "{label}");
+            assert_eq!(recorded, expected, "{label}");
+            assert_eq!(t, recorded, "{label}: one tick per event");
         }
     }
 }

@@ -171,12 +171,12 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         b.iter(|| black_box(Simulation::new(cfg.clone()).run()))
     });
     group.bench_function("null-recorder", |b| {
-        b.iter(|| black_box(Simulation::new(cfg.clone()).run_traced(&NullRecorder)))
+        b.iter(|| black_box(Simulation::new(cfg.clone()).run_traced(1, &NullRecorder)))
     });
     group.bench_function("memory-recorder", |b| {
         b.iter(|| {
             let recorder = MemoryRecorder::new();
-            let out = black_box(Simulation::new(cfg.clone()).run_traced(&recorder));
+            let out = black_box(Simulation::new(cfg.clone()).run_traced(1, &recorder));
             black_box(recorder.take_events());
             out
         })

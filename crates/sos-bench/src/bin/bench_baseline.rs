@@ -70,9 +70,7 @@ use sos_observe::{telemetry, trace};
 use sos_overlay::{ChordRing, NodeId, Overlay, Transport};
 use sos_sim::engine::{Simulation, SimulationConfig, TransportKind};
 use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
-use sos_sim::{
-    route_lane_seed, set_route_batch_width, stream, trial_stream_seed, SweepExecutor,
-};
+use sos_sim::{route_lane_seed, stream, trial_stream_seed, ExecOptions, SweepExecutor};
 use std::time::Instant;
 
 const ROUTES_PER_TRIAL: u64 = 50;
@@ -388,18 +386,18 @@ fn main() {
         .routes_per_trial(routes)
         .seed(SEED)
         .transport(TransportKind::Chord);
-        let run_once = || Simulation::new(cfg.clone()).run().successes;
+        let run_at = |route_width: usize| {
+            let exec = ExecOptions { route_width, ..ExecOptions::default() };
+            let sim = Simulation::new(cfg.clone()).with_exec(exec);
+            move || sim.run().successes
+        };
         // Warm both widths outside the timers; width 64 (after) is
         // timed first so the scalar width inherits the warmer
         // allocator — any bias is against the reported speedup.
-        set_route_batch_width(1);
-        run_once();
-        set_route_batch_width(64);
-        run_once();
-        let (after_successes, after_secs, phases, _) = timed_with_phases(run_once);
-        set_route_batch_width(1);
-        let (before_successes, before_secs) = timed(run_once);
-        set_route_batch_width(64);
+        run_at(1)();
+        run_at(64)();
+        let (after_successes, after_secs, phases, _) = timed_with_phases(run_at(64));
+        let (before_successes, before_secs) = timed(run_at(1));
         assert_eq!(
             before_successes, after_successes,
             "routing-batch: width 1 and width 64 diverged — batch width must be \
@@ -497,23 +495,24 @@ fn main() {
         let threads = sos_sim::num_threads();
         let configs = sweep_configs();
         let total_trials: u64 = configs.iter().map(|c| c.configured_trials()).sum();
-        let run_once = || {
-            let mut exec = SweepExecutor::with_threads(threads);
-            exec.run(&configs)
-                .iter()
-                .map(|r| r.successes)
-                .collect::<Vec<u64>>()
+        let run_with = |build_reuse: bool| {
+            let configs = &configs;
+            move || {
+                let exec = ExecOptions { build_reuse, ..ExecOptions::default() };
+                SweepExecutor::with_threads(threads)
+                    .with_exec(exec)
+                    .run(configs)
+                    .iter()
+                    .map(|r| r.successes)
+                    .collect::<Vec<u64>>()
+            }
         };
         // Warm both paths outside the timers; reuse-on (after) is timed
         // first so the reference inherits the warmer allocator.
-        sos_sim::set_build_reuse(false);
-        run_once();
-        sos_sim::set_build_reuse(true);
-        run_once();
-        let (on_successes, on_secs, phases, build_reused) = timed_with_phases(run_once);
-        sos_sim::set_build_reuse(false);
-        let (off_successes, off_secs) = timed(run_once);
-        sos_sim::set_build_reuse(true);
+        run_with(false)();
+        run_with(true)();
+        let (on_successes, on_secs, phases, build_reused) = timed_with_phases(run_with(true));
+        let (off_successes, off_secs) = timed(run_with(false));
         assert_eq!(
             off_successes, on_successes,
             "build-reuse: per-point counts diverged — the build memo must be \

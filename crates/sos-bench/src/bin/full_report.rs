@@ -145,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .routes_per_trial(opts.routes_per_trial)
             .seed(opts.seed);
         let recorder = MemoryRecorder::new();
-        let (_, metrics) = Simulation::new(cfg).run_traced(&recorder);
+        let (_, metrics) = Simulation::new(cfg).run_traced(1, &recorder);
         let events = recorder.take_events();
         fs::write(dir.join("trace-paper-intelligent.jsonl"), sos_observe::write_jsonl(&events))?;
         written.push("trace-paper-intelligent.jsonl".to_string());

@@ -485,15 +485,16 @@ fn profile(
                 routes_per_trial: routes,
                 seed,
             });
-            let results = if let Some(path) = cache {
-                let loaded = sos_sim::set_global_cache(&path)?;
-                eprintln!("sweep cache {path}: {loaded} entries loaded");
-                sos_sim::run_sweep(&configs)
-            } else if let Some(t) = threads {
-                sos_sim::SweepExecutor::with_threads(t).run(&configs)
-            } else {
-                sos_sim::run_sweep(&configs)
+            let mut exec = match threads {
+                Some(t) => sos_sim::SweepExecutor::with_threads(t),
+                None => sos_sim::SweepExecutor::new(),
             };
+            if let Some(path) = &cache {
+                let loaded = exec.attach_cache(path)?;
+                eprintln!("sweep cache {path}: {loaded} entries loaded");
+            }
+            let results = exec.run(&configs);
+            exec.persist();
             let mut text = String::from(
                 "point,successes,attempts,ps,realized_hypergeometric,realized_binomial,mean_hops\n",
             );
@@ -611,14 +612,11 @@ fn simulate(
     let sim = Simulation::new(config);
     let result = if trace_out.is_some() || metrics_out.is_some() {
         // Traced runs default to one thread so the recorded event order
-        // is reproducible run to run; an explicit --threads opts into
-        // the parallel traced runner (counts identical, event order in
+        // is reproducible run to run; an explicit --threads spreads the
+        // trials over workers (same result, event order in
         // worker-completion order — the sinks sort by trial and tick).
         let recorder = sos_observe::MemoryRecorder::new();
-        let (result, metrics) = match threads {
-            Some(t) if t > 1 => sim.run_parallel_traced(t, &recorder),
-            _ => sim.run_traced(&recorder),
-        };
+        let (result, metrics) = sim.run_traced(threads.unwrap_or(1), &recorder);
         write_sinks(
             out,
             trace_out.as_deref(),
@@ -688,11 +686,8 @@ fn trace_cmd(
     let sim = Simulation::new(spec.sim_config_with(attack)?);
     let recorder = sos_observe::MemoryRecorder::new();
     // One thread by default for a reproducible event stream; --threads
-    // opts into the work-stealing traced runner (counts identical).
-    let (result, metrics) = match threads {
-        Some(t) if t > 1 => sim.run_parallel_traced(t, &recorder),
-        _ => sim.run_traced(&recorder),
-    };
+    // spreads the trials over workers (same result).
+    let (result, metrics) = sim.run_traced(threads.unwrap_or(1), &recorder);
     let events = recorder.take_events();
 
     writeln!(out, "scenario: {} ({})", preset.label(), attack.model_name())?;
@@ -1467,6 +1462,57 @@ mod tests {
     }
 
     #[test]
+    fn simulate_stdout_is_the_same_traced_or_not() {
+        let test = "simulate_stdout_is_the_same_traced_or_not";
+        let metrics_path = temp_path(test, "metrics.csv");
+        let base = [
+            "simulate",
+            "--transport",
+            "chord",
+            "--overlay-nodes",
+            "300",
+            "--sos-nodes",
+            "40",
+            "--trials",
+            "130",
+            "--routes",
+            "10",
+            "--nt",
+            "10",
+            "--nc",
+            "40",
+            "--faults",
+            "0.2",
+            "--retry",
+            "3",
+            "--seed",
+            "4",
+        ];
+        let mut outputs = Vec::new();
+        for threads in ["1", "4"] {
+            let plain: Vec<&str> = base.iter().chain(&["--threads", threads]).copied().collect();
+            let traced: Vec<&str> = plain
+                .iter()
+                .chain(&["--metrics-out", metrics_path.to_str().unwrap()])
+                .copied()
+                .collect();
+            let (code, plain_out) = run_to_string(&plain);
+            assert_eq!(code, 0, "{plain_out}");
+            let (code, traced_out) = run_to_string(&traced);
+            assert_eq!(code, 0, "{traced_out}");
+            let traced_out: String = traced_out
+                .lines()
+                .filter(|l| !l.starts_with("metrics: -> "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(plain_out, traced_out, "tracing changed the answer at {threads} threads");
+            outputs.push(plain_out);
+        }
+        assert_eq!(outputs[0], outputs[1], "thread count changed the answer");
+        let _ = std::fs::remove_file(metrics_path);
+    }
+
+    #[test]
     fn simulate_with_faults_and_retries_reports_plane() {
         let base = [
             "simulate",
@@ -1660,6 +1706,47 @@ mod tests {
         for p in [on_path, off_path, prom_path] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn profile_grid_csv_is_the_same_cold_warm_and_uncached() {
+        let test = "profile_grid_csv_is_the_same_cold_warm_and_uncached";
+        let cache = temp_path(test, "cache.json");
+        let journal = temp_path(test, "cache.json.journal");
+        let _ = std::fs::remove_file(&cache);
+        let _ = std::fs::remove_file(&journal);
+        let csv = |extra: &[&str], file: &str| {
+            let path = temp_path(test, file);
+            let mut args = vec![
+                "profile",
+                "--workload",
+                "grid",
+                "--trials",
+                "1",
+                "--routes",
+                "5",
+                "--threads",
+                "1",
+                "--results-out",
+                path.to_str().unwrap(),
+            ];
+            args.extend_from_slice(extra);
+            let (code, out) = run_to_string(&args);
+            assert_eq!(code, 0, "{out}");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_file(path);
+            text
+        };
+        let uncached = csv(&[], "uncached.csv");
+        let cold = csv(&["--cache", cache.to_str().unwrap()], "cold.csv");
+        // The cold run persists its results to the main cache file.
+        assert!(cache.exists(), "profile --cache must persist the cache");
+        let warm = csv(&["--cache", cache.to_str().unwrap()], "warm.csv");
+        assert_eq!(uncached.lines().count(), 43, "42 points + header: {uncached}");
+        assert_eq!(cold, uncached, "cold cache changed the results");
+        assert_eq!(warm, uncached, "warm cache changed the results");
+        let _ = std::fs::remove_file(&cache);
+        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]

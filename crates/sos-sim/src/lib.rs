@@ -11,11 +11,14 @@
 //! 4. repeat over many attack instances and seeds, aggregate with
 //!    confidence intervals ([`engine`]).
 //!
-//! The [`engine::Simulation`] runner is deterministic for a fixed seed
-//! and can fan trials out over threads; its
-//! [`run_traced`](engine::Simulation::run_traced) variant additionally
-//! streams every instrumented decision point to a
-//! [`sos_observe::Recorder`] and aggregates per-trial metrics. Multi-point
+//! The [`engine::Simulation`] runner is deterministic for a fixed seed:
+//! `run`, `run_parallel` and
+//! [`run_traced`](engine::Simulation::run_traced) share one batched
+//! trial driver and return the same bytes at every thread count, route
+//! batch width and build-reuse setting ([`ExecOptions`], a per-run
+//! value outside the config). `run_traced` additionally streams every
+//! instrumented decision point to a [`sos_observe::Recorder`] and
+//! aggregates per-trial metrics. Multi-point
 //! experiments (figure families, ablations, parameter sweeps) go through
 //! the [`sweep`] executor — a persistent worker pool with interleaved
 //! trial scheduling plus a content-addressed result cache
@@ -73,13 +76,12 @@ pub mod timing;
 
 pub use compare::{ComparisonRow, compare_models};
 pub use engine::{
-    build_reuse_enabled, num_threads, route_batch_width, route_lane_seed, set_build_reuse,
-    set_route_batch_width, stream, trial_stream_seed, Simulation, SimulationConfig,
-    SimulationResult, TransportKind,
+    num_threads, route_batch_width, route_lane_seed, stream, trial_stream_seed, ExecOptions,
+    Simulation, SimulationConfig, SimulationResult, TransportKind,
 };
 pub use route_batch::RouteBatchScratch;
 pub use sweep::{
-    config_fingerprint, run_sweep, run_sweep_traced, set_global_cache, structural_fingerprint,
+    config_fingerprint, run_sweep, set_global_cache, structural_fingerprint,
     sweep_stats, CacheLoadReport, SweepExecutor, SweepStats,
 };
 pub use flow::{FlowModel, FlowResult, FlowSimulation};

@@ -21,13 +21,13 @@
 //!   entirely inline with no cross-thread handoff at all.
 //!
 //! Determinism: the pool decides only *who* runs a trial, never *what*
-//! the trial is. Per-trial seeding makes every integer count
-//! bit-identical to [`Simulation::run`], and batch partials are merged
-//! in trial order over thread-count-independent batch boundaries (the
-//! same contract as `run_parallel`), so a job's result — floats
-//! included — is byte-identical at every thread count. The merge stays
-//! per-job: each [`RangeJob`] collects its own batch [`Partial`]s, so
-//! sweep points never mix.
+//! the trial is. A job's batches are cut by the same [`TrialQueue`]
+//! rule as `run_parallel`'s, run through the same batch body
+//! (`Simulation::run_batch`), and merged in trial order — so a full-range
+//! job's result, floats included, is byte-identical to
+//! `run_parallel` at every thread count. The merge stays per-job: each
+//! [`RangeJob`] collects its own batch [`Partial`]s, so sweep points
+//! never mix.
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 
@@ -296,15 +296,10 @@ fn drain(run: &RunState, scratch: &mut TrialScratch) {
         let Some((slot, start, end)) = claimed else {
             return;
         };
-        if let Some(t) = telemetry::slot() {
-            t.add_batch();
-        }
         let mut batch_span = trace::start("pool-batch", trace::CAT_POOL);
-        let mut partial = Partial::default();
-        for trial in start..end {
-            slot.sim
-                .run_one_trial(slot.base + trial, &mut partial, scratch, None);
-        }
+        let partial = slot
+            .sim
+            .run_batch(slot.base + start, slot.base + end, scratch, None);
         if let Some(span) = batch_span.as_mut() {
             span.arg("trials", end - start);
         }
@@ -431,10 +426,7 @@ mod tests {
                 partials.into_iter().zip(&sims).zip(&reference)
             {
                 let result = s.finish(partial);
-                assert_eq!(result.successes, reference.successes, "{threads} threads");
-                assert_eq!(result.attempts, reference.attempts);
-                assert_eq!(result.failure_depths, reference.failure_depths);
-                assert!((result.per_trial.mean - reference.per_trial.mean).abs() < 1e-12);
+                assert_eq!(&result, reference, "{threads} threads");
             }
         }
     }

@@ -17,9 +17,8 @@
 //!   hash of every behavior-relevant field); identical points are
 //!   executed once per process (*dedup*), and — with a cache file
 //!   attached — once ever (*cache*);
-//! * results are returned in input order and are the same values
-//!   [`Simulation::run_parallel`] produces: integer counts bit-identical
-//!   at any thread count, float aggregates within merge-order ulps.
+//! * results are returned in input order and are byte-identical to
+//!   what [`Simulation::run_parallel`] produces, at any thread count.
 //!
 //! Cache semantics: the cache is keyed by content, not by call site, so
 //! it is safe to share one cache file across figure families, CLI runs
@@ -46,14 +45,14 @@
 //! Use the process-global executor via [`run_sweep`] /
 //! [`set_global_cache`] (or the `SOS_SWEEP_CACHE` environment
 //! variable), or construct a private [`SweepExecutor`] for isolated
-//! thread counts and caches (as `bench_baseline` and the tests do).
+//! thread counts, caches and [`ExecOptions`] (as `bench_baseline` and
+//! the tests do).
 //!
 //! [`Simulation::run_parallel`]: crate::engine::Simulation::run_parallel
 
-use crate::engine::{Simulation, SimulationConfig, SimulationResult};
+use crate::engine::{ExecOptions, Simulation, SimulationConfig, SimulationResult};
 use crate::pool::{global_pool, RangeJob, WorkerPool};
 use sos_observe::{telemetry, trace};
-use sos_observe::{Event, EventKind, MetricsRegistry, Recorder};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -61,8 +60,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Cumulative executor counters, exposed for benchmarks and the CLI's
-/// `--cache` reporting (and mirrored into `sos-observe` metrics by
-/// [`SweepExecutor::run_traced`]).
+/// `--cache` reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Sweep points requested (one per input config, duplicates
@@ -277,6 +275,8 @@ enum PoolHandle {
 /// Executes sweeps of [`SimulationConfig`] points; see the module docs.
 pub struct SweepExecutor {
     pool: PoolHandle,
+    /// Applied to every [`Simulation`] this executor schedules.
+    exec: ExecOptions,
     /// fingerprint → result, for every point this executor has answered
     /// (loaded from the cache file or executed).
     memory: HashMap<u64, SimulationResult>,
@@ -296,6 +296,7 @@ impl SweepExecutor {
     pub fn new() -> Self {
         SweepExecutor {
             pool: PoolHandle::Global,
+            exec: ExecOptions::default(),
             memory: HashMap::new(),
             cache_path: None,
             stats: SweepStats::default(),
@@ -316,6 +317,14 @@ impl SweepExecutor {
             pool: PoolHandle::Owned(Box::new(WorkerPool::new(threads))),
             ..SweepExecutor::new()
         }
+    }
+
+    /// Runs every scheduled point with `exec` instead of the default
+    /// [`ExecOptions`]. Results (and so cache entries) are
+    /// byte-identical either way.
+    pub fn with_exec(mut self, exec: ExecOptions) -> Self {
+        self.exec = exec;
+        self
     }
 
     /// Attaches a persistent cache file and loads any existing entries,
@@ -532,59 +541,15 @@ impl SweepExecutor {
     /// Runs every config (answering from cache/dedup where possible)
     /// and returns results in input order.
     pub fn run(&mut self, configs: &[SimulationConfig]) -> Vec<SimulationResult> {
-        self.run_inner(configs, None)
-    }
-
-    /// [`run`](Self::run) with observability: emits one
-    /// [`EventKind::SweepPointStart`] per executed point and one
-    /// [`EventKind::SweepPointCached`] per cache/dedup hit (the event's
-    /// `trial` field carries the point index), and mirrors the
-    /// [`SweepStats`] deltas into `metrics` counters (`sweep_points`,
-    /// `sweep_cache_hits`, `sweep_dedup_hits`, `sweep_points_executed`,
-    /// `sweep_trials_executed`, `pool_batches`).
-    pub fn run_traced(
-        &mut self,
-        configs: &[SimulationConfig],
-        recorder: &dyn Recorder,
-        metrics: &mut MetricsRegistry,
-    ) -> Vec<SimulationResult> {
-        let before = self.stats;
-        let results = self.run_inner(configs, Some(recorder));
-        let delta = |field: fn(&SweepStats) -> u64| field(&self.stats) - field(&before);
-        metrics.counter("sweep_points").add(delta(|s| s.points));
-        metrics.counter("sweep_cache_hits").add(delta(|s| s.cache_hits));
-        metrics.counter("sweep_dedup_hits").add(delta(|s| s.dedup_hits));
-        metrics
-            .counter("sweep_points_executed")
-            .add(delta(|s| s.points_executed));
-        metrics
-            .counter("sweep_trials_executed")
-            .add(delta(|s| s.trials_executed));
-        metrics.counter("pool_batches").add(delta(|s| s.pool_batches));
-        results
-    }
-
-    fn run_inner(
-        &mut self,
-        configs: &[SimulationConfig],
-        recorder: Option<&dyn Recorder>,
-    ) -> Vec<SimulationResult> {
         self.stats.points += configs.len() as u64;
         telemetry::add_expected_points(configs.len() as u64);
         let fingerprints: Vec<u64> = configs.iter().map(fingerprint).collect();
 
         // Plan: first occurrence of an uncached fingerprint becomes a
         // job; later occurrences are dedup hits, cached ones cache hits.
-        let mut emit_t = 0u64;
-        let mut emit = |point: u64, kind: EventKind| {
-            if let Some(r) = recorder {
-                r.record(Event::new(emit_t, point, kind));
-                emit_t += 1;
-            }
-        };
         let mut planned: Vec<u64> = Vec::new();
         let mut sims: Vec<Arc<Simulation>> = Vec::new();
-        for (point, (config, &fp)) in configs.iter().zip(&fingerprints).enumerate() {
+        for (config, &fp) in configs.iter().zip(&fingerprints) {
             // Request-scoped tracing: one probe span per point, with a
             // hit/miss annotation. Reads the clock only — never the
             // sim RNG streams — so plans are identical traced or not.
@@ -595,7 +560,6 @@ impl SweepExecutor {
                 if let Some(span) = probe.as_mut() {
                     span.arg("hit", 1);
                 }
-                emit(point as u64, EventKind::SweepPointCached { point: point as u64, fingerprint: fp });
             } else if planned.contains(&fp) {
                 self.stats.dedup_hits += 1;
                 telemetry::point_cached();
@@ -603,20 +567,14 @@ impl SweepExecutor {
                     span.arg("hit", 1);
                     span.arg("dedup", 1);
                 }
-                emit(point as u64, EventKind::SweepPointCached { point: point as u64, fingerprint: fp });
             } else {
                 planned.push(fp);
-                sims.push(Arc::new(Simulation::new(config.clone())));
+                sims.push(Arc::new(Simulation::new(config.clone()).with_exec(self.exec)));
                 self.stats.points_executed += 1;
                 self.stats.trials_executed += config.trials;
                 if let Some(span) = probe.as_mut() {
                     span.arg("hit", 0);
                 }
-                emit(point as u64, EventKind::SweepPointStart {
-                    point: point as u64,
-                    fingerprint: fp,
-                    trials: config.trials,
-                });
             }
         }
 
@@ -795,19 +753,6 @@ pub fn run_sweep(configs: &[SimulationConfig]) -> Vec<SimulationResult> {
         .run(configs)
 }
 
-/// [`run_sweep`] with observability (see
-/// [`SweepExecutor::run_traced`]).
-pub fn run_sweep_traced(
-    configs: &[SimulationConfig],
-    recorder: &dyn Recorder,
-    metrics: &mut MetricsRegistry,
-) -> Vec<SimulationResult> {
-    global_executor()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .run_traced(configs, recorder, metrics)
-}
-
 /// Attaches a persistent cache file to the process-global executor
 /// (the `--cache` flag); returns the number of entries loaded. See
 /// [`SweepExecutor::attach_cache`] for error semantics.
@@ -860,9 +805,7 @@ mod tests {
         let swept = exec.run(&configs);
         for (cfg, swept) in configs.iter().zip(&swept) {
             let reference = Simulation::new(cfg.clone()).run_parallel(2);
-            assert_eq!(swept.successes, reference.successes);
-            assert_eq!(swept.attempts, reference.attempts);
-            assert_eq!(swept.failure_depths, reference.failure_depths);
+            assert_eq!(swept, &reference);
         }
     }
 
@@ -1150,27 +1093,14 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_emits_events_and_counters() {
-        use sos_observe::MemoryRecorder;
+    fn stats_count_points_dedup_and_trials() {
         let configs = vec![config(100, 9), config(100, 9), config(200, 9)];
         let mut exec = SweepExecutor::with_threads(1);
-        let recorder = MemoryRecorder::new();
-        let mut metrics = MetricsRegistry::new();
-        exec.run_traced(&configs, &recorder, &mut metrics);
-        let events = recorder.take_events();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SweepPointStart { .. }))
-            .count();
-        let cached = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::SweepPointCached { .. }))
-            .count();
-        assert_eq!(starts, 2);
-        assert_eq!(cached, 1);
-        assert_eq!(metrics.counter_value("sweep_points"), Some(3));
-        assert_eq!(metrics.counter_value("sweep_points_executed"), Some(2));
-        assert_eq!(metrics.counter_value("sweep_dedup_hits"), Some(1));
-        assert_eq!(metrics.counter_value("sweep_trials_executed"), Some(16));
+        exec.run(&configs);
+        let stats = exec.stats();
+        assert_eq!(stats.points, 3);
+        assert_eq!(stats.points_executed, 2);
+        assert_eq!(stats.dedup_hits, 1);
+        assert_eq!(stats.trials_executed, 16);
     }
 }

@@ -6,7 +6,7 @@
 
 use sos_core::{AttackBudget, AttackConfig, MappingDegree, Scenario, SystemParams};
 use sos_sim::engine::{SimulationConfig, TransportKind};
-use sos_sim::{set_build_reuse, SweepExecutor};
+use sos_sim::{ExecOptions, SweepExecutor};
 
 fn scenario(mapping_k: u64) -> Scenario {
     Scenario::builder()
@@ -54,12 +54,15 @@ fn grid() -> Vec<SimulationConfig> {
 fn sweep_results_identical_with_reuse_on_and_off_at_any_thread_count() {
     let configs = grid();
     let mut reference: Option<String> = None;
+    let reuse_off = ExecOptions {
+        build_reuse: false,
+        ..ExecOptions::default()
+    };
     for threads in [1usize, 2, 4, 8] {
-        set_build_reuse(true);
         let on = SweepExecutor::with_threads(threads).run(&configs);
-        set_build_reuse(false);
-        let off = SweepExecutor::with_threads(threads).run(&configs);
-        set_build_reuse(true);
+        let off = SweepExecutor::with_threads(threads)
+            .with_exec(reuse_off)
+            .run(&configs);
         let on_json = serde_json::to_string(&on).unwrap();
         let off_json = serde_json::to_string(&off).unwrap();
         assert_eq!(

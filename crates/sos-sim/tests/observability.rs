@@ -27,7 +27,7 @@ fn traced_config() -> SimulationConfig {
 
 fn run_traced_events() -> Vec<Event> {
     let recorder = MemoryRecorder::new();
-    let _ = Simulation::new(traced_config()).run_traced(&recorder);
+    let _ = Simulation::new(traced_config()).run_traced(1, &recorder);
     recorder.take_events()
 }
 
@@ -131,7 +131,7 @@ fn traced_events_are_deterministic_under_fixed_seed() {
 fn parallel_trace_is_a_permutation_of_sequential() {
     let sequential = run_traced_events();
     let recorder = MemoryRecorder::new();
-    let _ = Simulation::new(traced_config()).run_parallel_traced(3, &recorder);
+    let _ = Simulation::new(traced_config()).run_traced(3, &recorder);
     let mut parallel = recorder.take_events();
     parallel.sort_by_key(|e| (e.trial, e.t));
     // Sequential emission is already (trial, t)-sorted, so sorting the

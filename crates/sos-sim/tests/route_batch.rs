@@ -15,20 +15,16 @@ use sos_overlay::{ChordRing, NodeBitSet, NodeId, Overlay, Transport};
 use sos_sim::engine::{SimulationConfig, TransportKind};
 use sos_sim::routing::{route_message, RouteScratch, RoutingPolicy};
 use sos_sim::{
-    route_lane_seed, set_route_batch_width, stream, trial_stream_seed, RouteBatchScratch,
-    Simulation, SweepExecutor,
+    route_lane_seed, stream, trial_stream_seed, ExecOptions, RouteBatchScratch, Simulation,
+    SweepExecutor,
 };
-use std::sync::{Mutex, MutexGuard};
 
-/// Serializes the tests that set the process-global batch width: the
-/// test harness runs tests on parallel threads, so without it one
-/// test's "width 1" pass could run at another test's width.
-static WIDTH_LOCK: Mutex<()> = Mutex::new(());
-
-fn width_lock() -> MutexGuard<'static, ()> {
-    // A panicking holder poisons the lock; every holder sets each width
-    // it runs at, so the width it left behind is harmless.
-    WIDTH_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Default exec options at route-kernel width `width`.
+fn width(route_width: usize) -> ExecOptions {
+    ExecOptions {
+        route_width,
+        ..ExecOptions::default()
+    }
 }
 
 const POLICIES: [RoutingPolicy; 3] = [
@@ -187,7 +183,6 @@ fn sim_config(
 /// transports, fault plane on and off.
 #[test]
 fn run_parallel_byte_identical_across_widths_and_threads() {
-    let _width = width_lock();
     for transport in [TransportKind::Direct, TransportKind::Chord] {
         for (policy, faulted) in [
             (RoutingPolicy::RandomGood, false),
@@ -196,23 +191,21 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
             (RoutingPolicy::RandomGood, true),
         ] {
             let cfg = sim_config(transport, policy, faulted);
-            let sim = Simulation::new(cfg);
             let mut reference: Option<String> = None;
-            for width in [1usize, 4, 16, 64] {
-                set_route_batch_width(width);
+            for route_width in [1usize, 4, 16, 64] {
+                let sim = Simulation::new(cfg.clone()).with_exec(width(route_width));
                 for threads in [1usize, 2, 4, 8] {
                     let json = serde_json::to_string(&sim.run_parallel(threads)).unwrap();
                     match &reference {
                         None => reference = Some(json),
                         Some(expect) => assert_eq!(
                             expect, &json,
-                            "width {width} / {threads} threads diverged \
+                            "width {route_width} / {threads} threads diverged \
                              ({transport:?} {policy} faults={faulted})"
                         ),
                     }
                 }
             }
-            set_route_batch_width(64);
         }
     }
 }
@@ -222,7 +215,6 @@ fn run_parallel_byte_identical_across_widths_and_threads() {
 /// and recomputed points agree at any width.
 #[test]
 fn run_sweep_byte_identical_across_widths() {
-    let _width = width_lock();
     let configs: Vec<SimulationConfig> = [TransportKind::Direct, TransportKind::Chord]
         .into_iter()
         .flat_map(|t| {
@@ -232,16 +224,31 @@ fn run_sweep_byte_identical_across_widths() {
         })
         .collect();
     let mut reference: Option<String> = None;
-    for width in [1usize, 4, 16, 64] {
-        set_route_batch_width(width);
-        let results = SweepExecutor::with_threads(4).run(&configs);
+    for route_width in [1usize, 4, 16, 64] {
+        let results = SweepExecutor::with_threads(4)
+            .with_exec(width(route_width))
+            .run(&configs);
         let json = serde_json::to_string(&results).unwrap();
         match &reference {
             None => reference = Some(json),
-            Some(expect) => assert_eq!(expect, &json, "sweep diverged at width {width}"),
+            Some(expect) => assert_eq!(expect, &json, "sweep diverged at width {route_width}"),
         }
     }
-    set_route_batch_width(64);
+}
+
+/// Exec options are per run, not process state: the same Chord config
+/// at width 1 and width 64 on two threads at once, with no lock,
+/// cannot see each other's width.
+#[test]
+fn concurrent_runs_at_different_widths_agree() {
+    let cfg = sim_config(TransportKind::Chord, RoutingPolicy::RandomGood, true);
+    let run_at = |route_width: usize| {
+        let sim = Simulation::new(cfg.clone()).with_exec(width(route_width));
+        move || serde_json::to_string(&sim.run_parallel(2)).unwrap()
+    };
+    let scalar = std::thread::spawn(run_at(1));
+    let batched = std::thread::spawn(run_at(64));
+    assert_eq!(scalar.join().unwrap(), batched.join().unwrap());
 }
 
 /// Fig. 4-style statistical check: after the per-route stream
