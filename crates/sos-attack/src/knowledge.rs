@@ -1,6 +1,9 @@
-//! The attacker's evolving view of the system.
+//! The attacker's evolving view of the system, and the per-worker
+//! scratch every attacker draws through.
 
-use sos_overlay::{NodeBitSet, NodeId};
+use rand::Rng;
+use sos_math::sampling::IndexSampler;
+use sos_overlay::{NodeBitSet, NodeId, WordSelect};
 
 /// Bookkeeping of everything the attacker has learned or done.
 ///
@@ -8,10 +11,8 @@ use sos_overlay::{NodeBitSet, NodeId};
 /// are one bit test, and resetting knowledge between trials costs
 /// O(words) with no allocation — the representation the zero-rebuild
 /// trial engine needs. Iteration over a bitset is naturally in
-/// ascending id order, which is exactly the deterministic ordering
-/// [`pending_sorted`](AttackerKnowledge::pending_sorted) and
-/// [`congestion_targets`](AttackerKnowledge::congestion_targets)
-/// guarantee.
+/// ascending id order, the deterministic order every attacker draws
+/// its targets in.
 ///
 /// Invariants maintained by the mutators:
 ///
@@ -31,9 +32,13 @@ pub struct AttackerKnowledge {
 }
 
 impl AttackerKnowledge {
-    /// Fresh, empty knowledge.
-    pub fn new() -> Self {
-        Self::default()
+    /// Forgets everything in O(words), keeping the bitsets' allocations
+    /// for the next trial.
+    pub(crate) fn clear(&mut self) {
+        self.attempted.clear();
+        self.broken.clear();
+        self.known_sos.clear();
+        self.pending.clear();
     }
 
     /// Marks a node as known a priori or disclosed by a break-in. Nodes
@@ -95,51 +100,104 @@ impl AttackerKnowledge {
         &self.pending
     }
 
-    /// Every node whose SOS/filter membership the attacker has learned.
-    /// Together with [`broken`](Self::broken) this is the word-level
-    /// form of [`congestion_targets`](Self::congestion_targets)
-    /// (`known_sos \ broken`) that the batched congestion sampler
-    /// consumes without materializing the target `Vec`.
+    /// Every node whose SOS/filter membership the attacker has learned;
+    /// the congestion targets are `known_sos \ broken`.
     pub fn known_sos(&self) -> &NodeBitSet {
         &self.known_sos
     }
+}
 
-    /// The pending queue in a deterministic (sorted) order — determinism
-    /// keeps simulations reproducible under a fixed seed. Entries leave
-    /// the queue when they are attempted via
-    /// [`record_attempt`](Self::record_attempt).
-    pub fn pending_sorted(&self) -> Vec<NodeId> {
-        self.pending.to_sorted_vec()
-    }
+/// Per-worker reusable attack state: the knowledge bitsets, the
+/// sampler, the rank/select directory and the target buffers behind
+/// every attacker's `execute_into`. Each attack clears what it uses, so
+/// one scratch (starting from `default()`) serves trials of any overlay
+/// size and, once grown, allocates nothing but the returned outcome.
+#[derive(Debug, Clone, Default)]
+pub struct AttackScratch {
+    pub(crate) knowledge: AttackerKnowledge,
+    pub(crate) pool: Pool,
+    /// The round's deterministic targets (Algorithm 1's `X_j`, or the
+    /// Case 4 sample of it).
+    pub(crate) pending: Vec<NodeId>,
+    /// Drawn targets of the current phase, in draw order.
+    pub(crate) picks: Vec<NodeId>,
+}
 
-    /// The congestion-phase target list: every known node that was not
-    /// broken into (the attacker never congests a node it controls),
-    /// sorted for determinism.
-    pub fn congestion_targets(&self) -> Vec<NodeId> {
-        self.known_sos
-            .iter()
-            .filter(|&n| !self.broken.contains(n))
-            .collect()
+/// The draw machinery of [`AttackScratch`], split from the knowledge so
+/// a draw over knowledge-derived words can borrow both.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pool {
+    pub(crate) sampler: IndexSampler,
+    pub(crate) ranks: Vec<usize>,
+    select: WordSelect,
+    ids: Vec<u32>,
+}
+
+impl Pool {
+    /// Draws `min(k, members)` distinct members of the word stream
+    /// `words` into `out` (cleared first), in draw order.
+    ///
+    /// This is `sample_from` over the ascending member list without the
+    /// list: bit index order is rank order, so the `gen_range(i..n)`
+    /// calls and the picks are the same. A dense draw shuffles the
+    /// materialized indices; a sparse one `select`s each drawn rank.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        &mut self,
+        words: impl Iterator<Item = u64>,
+        rng: &mut R,
+        k: usize,
+        out: &mut Vec<NodeId>,
+    ) {
+        self.select.rebuild(words);
+        let n = self.select.count();
+        let k = k.min(n);
+        out.clear();
+        if k * 16 >= n {
+            self.select.indices_into(&mut self.ids);
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                self.ids.swap(i, j);
+                out.push(NodeId(self.ids[i]));
+            }
+        } else {
+            self.sampler.sample_indices_into(rng, n, k, &mut self.ranks);
+            out.extend(self.ranks.iter().map(|&r| NodeId(self.select.select(r) as u32)));
+        }
     }
+}
+
+/// Words `0..⌈n/64⌉` of `word(wi)` with bits at and above `n` masked
+/// off: a word stream over the overlay id range `0..n`.
+pub(crate) fn overlay_words(n: usize, word: impl Fn(usize) -> u64) -> impl Iterator<Item = u64> {
+    (0..n.div_ceil(64)).map(move |wi| {
+        let live = n - wi * 64;
+        let mask = if live >= 64 { !0 } else { (1u64 << live) - 1 };
+        word(wi) & mask
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The congestion targets: known nodes that were not broken into.
+    fn targets(k: &AttackerKnowledge) -> Vec<NodeId> {
+        k.known_sos().difference_iter(k.broken()).collect()
+    }
+
     #[test]
     fn disclosure_feeds_pending() {
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         k.disclose(NodeId(3));
         k.disclose(NodeId(5));
         assert!(k.knows(NodeId(3)));
         assert_eq!(k.pending().len(), 2);
-        assert_eq!(k.pending_sorted(), vec![NodeId(3), NodeId(5)]);
+        assert_eq!(k.pending().to_sorted_vec(), vec![NodeId(3), NodeId(5)]);
     }
 
     #[test]
     fn attempts_clear_pending() {
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         k.disclose(NodeId(1));
         k.record_attempt(NodeId(1), false);
         assert!(k.pending().is_empty());
@@ -149,26 +207,26 @@ mod tests {
 
     #[test]
     fn disclosure_after_attempt_not_pending_but_targeted() {
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         k.record_attempt(NodeId(9), false);
         k.disclose(NodeId(9)); // learned later that it is an SOS node
         assert!(k.pending().is_empty(), "already attempted");
-        assert_eq!(k.congestion_targets(), vec![NodeId(9)]);
+        assert_eq!(targets(&k), vec![NodeId(9)]);
     }
 
     #[test]
     fn broken_nodes_never_congestion_targets() {
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         k.disclose(NodeId(2));
         k.record_attempt(NodeId(2), true);
         k.disclose(NodeId(4));
-        assert_eq!(k.congestion_targets(), vec![NodeId(4)]);
+        assert_eq!(targets(&k), vec![NodeId(4)]);
     }
 
     #[test]
     #[should_panic(expected = "attempted twice")]
     fn double_attempt_panics() {
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         k.record_attempt(NodeId(1), false);
         k.record_attempt(NodeId(1), true);
     }
@@ -181,7 +239,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         use std::collections::HashSet;
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let mut k = AttackerKnowledge::new();
+        let mut k = AttackerKnowledge::default();
         let mut attempted: HashSet<NodeId> = HashSet::new();
         let mut broken: HashSet<NodeId> = HashSet::new();
         let mut known: HashSet<NodeId> = HashSet::new();
@@ -223,10 +281,10 @@ mod tests {
             v.sort_unstable();
             v
         };
-        assert_eq!(k.pending_sorted(), sorted(&pending));
+        assert_eq!(k.pending().to_sorted_vec(), sorted(&pending));
         assert_eq!(k.attempted().to_sorted_vec(), sorted(&attempted));
         assert_eq!(k.broken().to_sorted_vec(), sorted(&broken));
         let expect_targets = sorted(&known.difference(&broken).copied().collect());
-        assert_eq!(k.congestion_targets(), expect_targets);
+        assert_eq!(targets(&k), expect_targets);
     }
 }

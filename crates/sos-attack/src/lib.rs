@@ -4,15 +4,14 @@
 //! crate implements attackers that actually do it to a concrete
 //! [`sos_overlay::Overlay`], node by node, with real randomness:
 //!
-//! * [`knowledge`] — the attacker's evolving view: which nodes it has
-//!   attempted, broken into, and learned about from captured neighbor
-//!   tables.
+//! * [`knowledge`] — the attacker's evolving view (attempted, broken,
+//!   disclosed nodes) and the per-worker [`AttackScratch`] it lives in.
 //! * [`one_burst`] — §3.1 executed literally: `N_T` uniform break-in
 //!   trials in one volley, then congestion of every disclosed node plus
 //!   random spillover.
 //! * [`successive`] — §3.2 / Algorithm 1 executed literally: round-based
 //!   break-ins guided by the previous round's disclosures, seeded by
-//!   prior knowledge of the first layer.
+//!   prior knowledge of the first layer; [`monitoring`] adds traffic taps.
 //! * [`observe`] — replays an [`trace::AttackTrace`] onto the
 //!   `sos-observe` event bus with layer annotations and phase spans.
 //!
@@ -56,7 +55,7 @@ pub mod outcome;
 pub mod successive;
 pub mod trace;
 
-pub use knowledge::AttackerKnowledge;
+pub use knowledge::{AttackScratch, AttackerKnowledge};
 pub use observe::{attack_event_count, emit_attack_events};
 pub use monitoring::{LayeringModel, MonitoringAttacker, MonitoringOutcome};
 pub use one_burst::OneBurstAttacker;

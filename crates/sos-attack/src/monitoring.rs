@@ -19,14 +19,13 @@
 //! index for every node it has identified, which downstream analyses
 //! can inspect to see how much structure leaked.
 
-use crate::knowledge::AttackerKnowledge;
-use crate::one_burst::{attempt_break_in, execute_congestion_phase};
-use crate::outcome::{AttackOutcome, RoundSummary};
+use crate::knowledge::{AttackScratch, AttackerKnowledge};
+use crate::outcome::AttackOutcome;
+use crate::successive::SuccessiveAttacker;
 use crate::trace::AttackEvent;
 use rand::Rng;
 use sos_core::{AttackBudget, SuccessiveParams};
-use sos_math::sampling::{bernoulli, proportional_split, sample_from, stochastic_round};
-use sos_observe::telemetry::{PhaseKind, PhaseTimer};
+use sos_math::sampling::bernoulli;
 use sos_overlay::{NodeId, Overlay, Role};
 use std::collections::HashMap;
 
@@ -71,8 +70,7 @@ impl LayeringModel {
 /// disclosure) and layering-model inference.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitoringAttacker {
-    budget: AttackBudget,
-    params: SuccessiveParams,
+    base: SuccessiveAttacker,
     tap_probability: f64,
 }
 
@@ -104,8 +102,7 @@ impl MonitoringAttacker {
             "tap probability out of range: {tap_probability}"
         );
         MonitoringAttacker {
-            budget,
-            params,
+            base: SuccessiveAttacker::new(budget, params),
             tap_probability,
         }
     }
@@ -125,13 +122,17 @@ impl MonitoringAttacker {
         overlay: &mut Overlay,
         rng: &mut R,
     ) -> MonitoringOutcome {
-        let big_n = overlay.overlay_node_count();
-        let n_t = self.budget.break_in_trials as usize;
-        assert!(
-            n_t <= big_n,
-            "N_T = {n_t} exceeds the overlay population {big_n}"
-        );
+        self.execute_into(overlay, rng, &mut AttackScratch::default())
+    }
 
+    /// [`execute`](Self::execute) through a reused [`AttackScratch`]:
+    /// the same result and panics, without the scratch allocations.
+    pub fn execute_into<R: Rng + ?Sized>(
+        &self,
+        overlay: &mut Overlay,
+        rng: &mut R,
+        scratch: &mut AttackScratch,
+    ) -> MonitoringOutcome {
         // Reverse adjacency: who routes *into* each node. This is what a
         // tap on the node can observe.
         let mut upstream: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
@@ -142,155 +143,83 @@ impl MonitoringAttacker {
                 }
             }
         }
-
-        let r = self.params.rounds();
-        let quotas = proportional_split(n_t as u64, &vec![1.0; r as usize]);
-        let mut knowledge = AttackerKnowledge::new();
-        let mut outcome = AttackOutcome::default();
-        let mut layering = LayeringModel::default();
-        let mut backward_disclosed = 0usize;
-        let mut timer = PhaseTimer::start();
-
-        // Prior knowledge of the first layer (known to be layer 1).
-        let first_layer = overlay.layer_members(1).to_vec();
-        let prior = stochastic_round(
-            rng,
-            first_layer.len() as f64 * self.params.prior_knowledge().value(),
-        )
-        .min(first_layer.len() as u64) as usize;
-        for node in sample_from(rng, &first_layer, prior) {
-            knowledge.disclose(node);
-            layering.learn(node, 1);
-            outcome.disclosed.push(node);
-            outcome.trace.record(AttackEvent::PriorKnowledge { node });
-        }
-
-        let mut beta = n_t;
-        for round in 1..=r {
-            if beta == 0 {
-                break;
-            }
-            let pending = knowledge.pending_sorted();
-            let x = pending.len();
-            let alpha = quotas[(round - 1) as usize] as usize;
-            let (deterministic, random_count, terminal, case) = if x >= beta {
-                (sample_from(rng, &pending, beta), 0usize, true, 4u8)
-            } else if beta <= alpha {
-                (pending.clone(), beta - x, true, 2)
-            } else if x < alpha {
-                (pending.clone(), alpha - x, false, 1)
-            } else {
-                (pending.clone(), 0usize, false, 3)
-            };
-            outcome.trace.record(AttackEvent::RoundPlan {
-                round,
-                case,
-                known: x as u32,
-            });
-
-            let mut broken_this_round = 0usize;
-            let mut newly_disclosed = 0usize;
-            let attempted_disclosed = deterministic.len();
-            let mut captured: Vec<NodeId> = Vec::new();
-            for node in deterministic {
-                let before = outcome.broken.len();
-                newly_disclosed +=
-                    attempt_break_in(overlay, &mut knowledge, &mut outcome, node, round, rng);
-                if outcome.broken.len() > before {
-                    captured.push(node);
-                    broken_this_round += 1;
-                }
-            }
-            let mut attempted_random = 0usize;
-            if random_count > 0 {
-                let candidates: Vec<NodeId> = overlay
-                    .overlay_ids()
-                    .filter(|&id| !knowledge.has_attempted(id) && !knowledge.knows(id))
-                    .collect();
-                let picks =
-                    sample_from(rng, &candidates, random_count.min(candidates.len()));
-                attempted_random = picks.len();
-                for node in picks {
-                    let before = outcome.broken.len();
-                    newly_disclosed +=
-                        attempt_break_in(overlay, &mut knowledge, &mut outcome, node, round, rng);
-                    if outcome.broken.len() > before {
-                        captured.push(node);
-                        broken_this_round += 1;
-                    }
-                }
-            }
-
-            // Monitoring phase: taps on this round's captured nodes
-            // reveal upstream (previous-layer) neighbors and forward
-            // neighbors' layers for the layering model.
-            for &node in &captured {
-                let layer = overlay.layer_of(node);
-                if let Some(layer) = layer {
-                    layering.learn(node, layer);
-                    // Forward neighbors: read straight from the table
-                    // (already disclosed by attempt_break_in) — the tap
-                    // places them one layer deeper.
-                    for &next in overlay.neighbors(node) {
-                        layering.learn(next, layer + 1);
-                    }
-                }
-                if let Some(senders) = upstream.get(&node) {
-                    for &sender in senders.clone().iter() {
-                        if knowledge.knows(sender) {
-                            continue;
-                        }
-                        if bernoulli(rng, self.tap_probability) {
-                            backward_disclosed += 1;
-                            newly_disclosed += 1;
-                            outcome.disclosed.push(sender);
-                            outcome.trace.record(AttackEvent::Disclosure {
-                                round,
-                                source: node,
-                                revealed: sender,
-                            });
-                            if let Some(layer) = overlay.layer_of(node) {
-                                layering.learn(sender, layer.saturating_sub(1).max(1));
-                            }
-                            if overlay.role(sender) == Role::Filter {
-                                knowledge.disclose_unbreakable(sender);
-                            } else {
-                                knowledge.disclose(sender);
-                            }
-                        }
-                    }
-                }
-            }
-
-            beta -= attempted_disclosed + attempted_random;
-            outcome.rounds.push(RoundSummary {
-                round,
-                known_at_start: x,
-                attempted_disclosed,
-                attempted_random,
-                broken: broken_this_round,
-                newly_disclosed,
-            });
-            if terminal {
-                break;
-            }
-        }
-
-        outcome.leftover_disclosed = knowledge.pending().len();
-        timer.lap(PhaseKind::BreakIn);
-        execute_congestion_phase(
-            overlay,
-            &knowledge,
-            self.budget.congestion_capacity as usize,
-            rng,
-            &mut outcome,
-        );
-        timer.lap(PhaseKind::Congestion);
+        let mut monitor = Monitor {
+            upstream,
+            tap_probability: self.tap_probability,
+            layering: LayeringModel::default(),
+            backward_disclosed: 0,
+        };
+        let outcome = self.base.run_rounds(overlay, rng, scratch, Some(&mut monitor));
         MonitoringOutcome {
             outcome,
-            layering,
-            backward_disclosed,
+            layering: monitor.layering,
+            backward_disclosed: monitor.backward_disclosed,
         }
+    }
+}
+
+/// The monitoring attacker's state inside the shared Algorithm 1 loop:
+/// its layering model and the tap step that runs after each round's
+/// break-ins.
+pub(crate) struct Monitor {
+    upstream: HashMap<NodeId, Vec<NodeId>>,
+    tap_probability: f64,
+    pub(crate) layering: LayeringModel,
+    backward_disclosed: usize,
+}
+
+impl Monitor {
+    /// Monitoring phase: taps on this round's captures
+    /// (`outcome.broken[from..]`, in capture order) reveal upstream
+    /// (previous-layer) neighbors, and place captured nodes and their
+    /// forward neighbors in the layering model. Returns how many nodes
+    /// the taps newly disclosed.
+    pub(crate) fn tap<R: Rng + ?Sized>(
+        &mut self,
+        overlay: &Overlay,
+        knowledge: &mut AttackerKnowledge,
+        outcome: &mut AttackOutcome,
+        from: usize,
+        round: u32,
+        rng: &mut R,
+    ) -> usize {
+        let before = self.backward_disclosed;
+        for idx in from..outcome.broken.len() {
+            let node = outcome.broken[idx];
+            let layer = overlay.layer_of(node);
+            if let Some(layer) = layer {
+                self.layering.learn(node, layer);
+                // Forward neighbors (disclosed by the break-in itself)
+                // sit one layer deeper.
+                for &next in overlay.neighbors(node) {
+                    self.layering.learn(next, layer + 1);
+                }
+            }
+            let Some(senders) = self.upstream.get(&node) else {
+                continue;
+            };
+            for &sender in senders {
+                if knowledge.knows(sender) || !bernoulli(rng, self.tap_probability) {
+                    continue;
+                }
+                self.backward_disclosed += 1;
+                outcome.disclosed.push(sender);
+                outcome.trace.record(AttackEvent::Disclosure {
+                    round,
+                    source: node,
+                    revealed: sender,
+                });
+                if let Some(layer) = layer {
+                    self.layering.learn(sender, layer.saturating_sub(1).max(1));
+                }
+                if overlay.role(sender) == Role::Filter {
+                    knowledge.disclose_unbreakable(sender);
+                } else {
+                    knowledge.disclose(sender);
+                }
+            }
+        }
+        self.backward_disclosed - before
     }
 }
 

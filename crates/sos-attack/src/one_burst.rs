@@ -1,13 +1,13 @@
 //! The one-burst attacker (§3.1), executed on a concrete overlay.
 
-use crate::knowledge::AttackerKnowledge;
+use crate::knowledge::{overlay_words, AttackScratch, AttackerKnowledge};
 use crate::outcome::{AttackOutcome, RoundSummary};
 use crate::trace::{AttackEvent, CongestionReason};
 use rand::Rng;
 use sos_core::AttackBudget;
 use sos_observe::telemetry::{PhaseKind, PhaseTimer};
-use sos_math::sampling::{bernoulli, sample_indices};
-use sos_overlay::{NodeId, NodeStatus, Overlay, Role, WordSelect};
+use sos_math::sampling::bernoulli;
+use sos_overlay::{NodeId, NodeStatus, Overlay, Role};
 
 /// Executes §3.1 literally: `N_T` uniform break-in trials in one volley,
 /// then congestion.
@@ -39,6 +39,17 @@ impl OneBurstAttacker {
         overlay: &mut Overlay,
         rng: &mut R,
     ) -> AttackOutcome {
+        self.execute_into(overlay, rng, &mut AttackScratch::default())
+    }
+
+    /// [`execute`](Self::execute) through a reused [`AttackScratch`]:
+    /// the same result and panics, without the scratch allocations.
+    pub fn execute_into<R: Rng + ?Sized>(
+        &self,
+        overlay: &mut Overlay,
+        rng: &mut R,
+        scratch: &mut AttackScratch,
+    ) -> AttackOutcome {
         let big_n = overlay.overlay_node_count();
         let n_t = self.budget.break_in_trials as usize;
         assert!(
@@ -46,19 +57,17 @@ impl OneBurstAttacker {
             "N_T = {n_t} exceeds the overlay population {big_n}"
         );
 
-        let mut knowledge = AttackerKnowledge::new();
-        let mut outcome = AttackOutcome::default();
+        let mut outcome = AttackOutcome::for_budget(self.budget, overlay.total_node_count());
         let mut timer = PhaseTimer::start();
+        let AttackScratch { knowledge, pool, .. } = scratch;
+        knowledge.clear();
 
         // Break-in phase: N_T distinct uniform targets.
-        let targets: Vec<NodeId> = sample_indices(rng, big_n, n_t)
-            .into_iter()
-            .map(|i| NodeId(i as u32))
-            .collect();
+        pool.sampler.sample_indices_into(rng, big_n, n_t, &mut pool.ranks);
         let mut newly_disclosed = 0usize;
-        for node in targets {
+        for &i in &pool.ranks {
             newly_disclosed +=
-                attempt_break_in(overlay, &mut knowledge, &mut outcome, node, 1, rng);
+                attempt_break_in(overlay, knowledge, &mut outcome, NodeId(i as u32), 1, rng);
         }
         outcome.rounds.push(RoundSummary {
             round: 1,
@@ -71,13 +80,7 @@ impl OneBurstAttacker {
         timer.lap(PhaseKind::BreakIn);
 
         // Congestion phase.
-        execute_congestion_phase(
-            overlay,
-            &knowledge,
-            self.budget.congestion_capacity as usize,
-            rng,
-            &mut outcome,
-        );
+        execute_congestion_phase(overlay, scratch, self.budget, rng, &mut outcome);
         timer.lap(PhaseKind::Congestion);
         outcome
     }
@@ -111,7 +114,8 @@ pub(crate) fn attempt_break_in<R: Rng + ?Sized>(
         overlay.set_status(node, NodeStatus::Broken);
         outcome.broken.push(node);
         // Capturing the node exposes its next-layer neighbor table.
-        for &neighbor in overlay.neighbors(node).to_vec().iter() {
+        let overlay: &Overlay = overlay;
+        for &neighbor in overlay.neighbors(node) {
             if knowledge.knows(neighbor) {
                 continue;
             }
@@ -133,39 +137,41 @@ pub(crate) fn attempt_break_in<R: Rng + ?Sized>(
 }
 
 /// Phase 2 of both attack strategies: congest every known-but-not-broken
-/// node if the budget allows (random spillover with the remainder), or a
-/// random subset of them otherwise. Filters are never randomly congested.
+/// node if the congestion budget `N_C` allows (random spillover with
+/// the remainder), or a random subset of them otherwise. Filters are
+/// never randomly congested.
 ///
-/// Both draws are batched over bitset words. The target set
-/// `known_sos \ broken` is counted by word-wise popcount and — when it
-/// must be subsampled — resolved through a [`WordSelect`] rank/select
-/// directory, so the per-trial target `Vec` and the full-overlay
-/// `status()` scan of the spillover pool are gone. The Fisher–Yates
-/// index draws depend only on `(pool size, k)`, and ascending bit index
-/// equals the ascending order of the `Vec`s this replaces, so the RNG
-/// consumption and the chosen nodes are byte-identical to the scalar
-/// form (tested against an inline reference implementation below).
+/// Both draws are word-level pool draws: the target set
+/// `known_sos \ broken` is counted by word-wise popcount and, when it
+/// must be subsampled, drawn by rank; the spillover pool is the
+/// complement of the overlay's bad-set words. The chosen nodes and the
+/// RNG consumption equal `sample_from` over the ascending `Vec`s these
+/// words stand for (tested against that scalar form below).
 pub(crate) fn execute_congestion_phase<R: Rng + ?Sized>(
     overlay: &mut Overlay,
-    knowledge: &AttackerKnowledge,
-    capacity: usize,
+    scratch: &mut AttackScratch,
+    budget: AttackBudget,
     rng: &mut R,
     outcome: &mut AttackOutcome,
 ) {
+    let capacity = budget.congestion_capacity as usize;
+    let AttackScratch {
+        knowledge,
+        pool,
+        picks,
+        ..
+    } = scratch;
     let known = knowledge.known_sos();
     let broken = knowledge.broken();
-    let n_targets = known.difference_len(broken);
-    let chosen: Vec<NodeId> = if capacity >= n_targets {
-        // Congest everything known: ascending iteration, no RNG draws —
-        // exactly the old `congestion_targets()` Vec.
-        known.difference_iter(broken).collect()
+    if capacity >= known.difference_len(broken) {
+        // Congest everything known: ascending iteration, no RNG draws.
+        picks.clear();
+        picks.extend(known.difference_iter(broken));
     } else {
-        let select = WordSelect::from_words(
-            (0..known.words().len()).map(|wi| known.word(wi) & !broken.word(wi)),
-        );
-        sample_pool(&select, rng, capacity)
-    };
-    for &node in &chosen {
+        let words = (0..known.words().len()).map(|wi| known.word(wi) & !broken.word(wi));
+        pool.draw(words, rng, capacity, picks);
+    }
+    for &node in picks.iter() {
         if overlay.status(node) == NodeStatus::Good {
             overlay.set_status(node, NodeStatus::Congested);
             outcome.congested.push(node);
@@ -176,26 +182,15 @@ pub(crate) fn execute_congestion_phase<R: Rng + ?Sized>(
         }
     }
     // Random spillover over the remaining good *overlay* nodes (the
-    // attacker cannot find undisclosed filters). Good = complement of
-    // the overlay's bad-set words, masked to the overlay id range; the
-    // directory must be built *after* the targeted loop above so it
-    // sees those nodes as congested.
-    let spare = capacity.saturating_sub(chosen.len());
+    // attacker cannot find undisclosed filters). The pool is read
+    // *after* the targeted loop above so it sees those nodes as
+    // congested.
+    let spare = capacity.saturating_sub(picks.len());
     if spare > 0 {
-        let big_n = overlay.overlay_node_count();
-        let full_words = big_n / 64;
-        let tail = big_n % 64;
         let bad = overlay.bad_set();
-        let select = WordSelect::from_words((0..big_n.div_ceil(64)).map(|wi| {
-            let w = !bad.word(wi);
-            if wi == full_words && tail > 0 {
-                w & ((1u64 << tail) - 1)
-            } else {
-                w
-            }
-        }));
-        let pool_len = select.count();
-        for node in sample_pool(&select, rng, spare.min(pool_len)) {
+        let good = overlay_words(overlay.overlay_node_count(), |wi| !bad.word(wi));
+        pool.draw(good, rng, spare, picks);
+        for &node in picks.iter() {
             overlay.set_status(node, NodeStatus::Congested);
             outcome.congested.push(node);
             outcome.trace.record(AttackEvent::Congestion {
@@ -206,40 +201,13 @@ pub(crate) fn execute_congestion_phase<R: Rng + ?Sized>(
     }
 }
 
-/// Draws `k` distinct members of `select` without replacement, in draw
-/// order — the same `gen_range(i..n)` sequence and the same picks as
-/// `sample_indices` resolved rank by rank, so either strategy is
-/// byte-identical to the `Vec`-based sampler this file used to call.
-/// When the draw touches a large fraction of the membership the whole
-/// ascending index list is materialized once and partially shuffled in
-/// place (no per-pick hashing or rank search); for sparse draws the
-/// virtual Fisher–Yates over ranks plus per-rank O(log words) `select`
-/// avoids the O(members) materialization.
-fn sample_pool<R: Rng + ?Sized>(select: &WordSelect, rng: &mut R, k: usize) -> Vec<NodeId> {
-    let n = select.count();
-    if k * 16 >= n {
-        let mut ids = select.indices();
-        (0..k)
-            .map(|i| {
-                let j = rng.gen_range(i..n);
-                ids.swap(i, j);
-                NodeId(ids[i])
-            })
-            .collect()
-    } else {
-        sample_indices(rng, n, k)
-            .into_iter()
-            .map(|rank| NodeId(select.select(rank) as u32))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sos_core::{MappingDegree, Scenario, SystemParams};
+    use sos_math::sampling::sample_indices;
 
     fn overlay(p_b: f64, mapping: MappingDegree, seed: u64) -> Overlay {
         let scenario = Scenario::builder()
@@ -361,7 +329,8 @@ mod tests {
         outcome: &mut AttackOutcome,
     ) {
         use sos_math::sampling::sample_from;
-        let targets = knowledge.congestion_targets();
+        let targets: Vec<NodeId> =
+            knowledge.known_sos().difference_iter(knowledge.broken()).collect();
         let chosen: Vec<NodeId> = if capacity >= targets.len() {
             targets.clone()
         } else {
@@ -411,20 +380,20 @@ mod tests {
             let run = |batched: bool| {
                 let mut o = overlay(0.5, MappingDegree::OneTo(2), seed);
                 let mut rng = StdRng::seed_from_u64(seed + 1);
-                let mut knowledge = AttackerKnowledge::new();
+                let mut scratch = AttackScratch::default();
                 let mut outcome = AttackOutcome::default();
                 let n_t = trials as usize;
-                for node in sample_indices(&mut rng, o.overlay_node_count(), n_t)
-                    .into_iter()
-                    .map(|i| NodeId(i as u32))
-                    .collect::<Vec<_>>()
-                {
-                    attempt_break_in(&mut o, &mut knowledge, &mut outcome, node, 1, &mut rng);
+                for i in sample_indices(&mut rng, o.overlay_node_count(), n_t) {
+                    let node = NodeId(i as u32);
+                    let knowledge = &mut scratch.knowledge;
+                    attempt_break_in(&mut o, knowledge, &mut outcome, node, 1, &mut rng);
                 }
                 if batched {
-                    execute_congestion_phase(&mut o, &knowledge, capacity, &mut rng, &mut outcome);
+                    let budget = AttackBudget::new(trials, capacity as u64);
+                    execute_congestion_phase(&mut o, &mut scratch, budget, &mut rng, &mut outcome);
                 } else {
-                    congestion_reference(&mut o, &knowledge, capacity, &mut rng, &mut outcome);
+                    let knowledge = &scratch.knowledge;
+                    congestion_reference(&mut o, knowledge, capacity, &mut rng, &mut outcome);
                 }
                 let statuses: Vec<NodeStatus> =
                     o.overlay_ids().map(|id| o.status(id)).collect();

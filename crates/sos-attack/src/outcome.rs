@@ -1,6 +1,7 @@
 //! Attack outcome records.
 
 use crate::trace::AttackTrace;
+use sos_core::AttackBudget;
 use sos_overlay::NodeId;
 
 /// Summary of one break-in round (one-burst attacks have exactly one).
@@ -42,6 +43,19 @@ pub struct AttackOutcome {
 }
 
 impl AttackOutcome {
+    /// An empty record with room for a whole attack under `budget` on
+    /// `nodes` nodes (trace: attempts, ~as many disclosures, congestion).
+    pub(crate) fn for_budget(budget: AttackBudget, nodes: usize) -> Self {
+        let n_t = budget.break_in_trials as usize;
+        let n_c = (budget.congestion_capacity as usize).min(nodes);
+        AttackOutcome {
+            attempted: Vec::with_capacity(n_t),
+            congested: Vec::with_capacity(n_c),
+            trace: AttackTrace::with_capacity(2 * n_t + n_c),
+            ..Self::default()
+        }
+    }
+
     /// Total break-in attempts (`≤ N_T`).
     pub fn total_attempts(&self) -> usize {
         self.attempted.len()

@@ -1,15 +1,16 @@
 //! The successive attacker (§3.2 / Algorithm 1), executed on a concrete
-//! overlay.
+//! overlay, and the round loop it shares with the monitoring attacker.
 
-use crate::knowledge::AttackerKnowledge;
+use crate::knowledge::{overlay_words, AttackScratch};
+use crate::monitoring::Monitor;
 use crate::one_burst::{attempt_break_in, execute_congestion_phase};
 use crate::outcome::{AttackOutcome, RoundSummary};
 use crate::trace::AttackEvent;
 use rand::Rng;
 use sos_core::{AttackBudget, SuccessiveParams};
 use sos_observe::telemetry::{PhaseKind, PhaseTimer};
-use sos_math::sampling::{proportional_split, sample_from, stochastic_round};
-use sos_overlay::{NodeId, Overlay};
+use sos_math::sampling::stochastic_round;
+use sos_overlay::Overlay;
 
 /// Executes Algorithm 1 literally: `R` rounds of disclosure-guided
 /// break-ins seeded by prior knowledge of the first layer, then the
@@ -51,6 +52,31 @@ impl SuccessiveAttacker {
         overlay: &mut Overlay,
         rng: &mut R,
     ) -> AttackOutcome {
+        self.execute_into(overlay, rng, &mut AttackScratch::default())
+    }
+
+    /// [`execute`](Self::execute) through a reused [`AttackScratch`]:
+    /// the same result and panics, without the scratch allocations.
+    pub fn execute_into<R: Rng + ?Sized>(
+        &self,
+        overlay: &mut Overlay,
+        rng: &mut R,
+        scratch: &mut AttackScratch,
+    ) -> AttackOutcome {
+        self.run_rounds(overlay, rng, scratch, None)
+    }
+
+    /// Algorithm 1: prior knowledge, the round loop, then congestion.
+    /// The monitoring attacker passes a [`Monitor`], which learns the
+    /// prior nodes' layer and taps each round's captures after its
+    /// break-ins.
+    pub(crate) fn run_rounds<R: Rng + ?Sized>(
+        &self,
+        overlay: &mut Overlay,
+        rng: &mut R,
+        scratch: &mut AttackScratch,
+        mut monitor: Option<&mut Monitor>,
+    ) -> AttackOutcome {
         let big_n = overlay.overlay_node_count();
         let n_t = self.budget.break_in_trials as usize;
         assert!(
@@ -58,22 +84,30 @@ impl SuccessiveAttacker {
             "N_T = {n_t} exceeds the overlay population {big_n}"
         );
         let r = self.params.rounds();
-        let quotas = proportional_split(n_t as u64, &vec![1.0; r as usize]);
-
-        let mut knowledge = AttackerKnowledge::new();
-        let mut outcome = AttackOutcome::default();
+        let mut outcome = AttackOutcome::for_budget(self.budget, overlay.total_node_count());
         let mut timer = PhaseTimer::start();
+        let AttackScratch {
+            knowledge,
+            pool,
+            pending,
+            picks,
+        } = scratch;
+        knowledge.clear();
 
         // Prior knowledge: the attacker knows ~n_1 · P_E first-layer
         // nodes before the attack (the paper's round-0 "disclosure").
-        let first_layer = overlay.layer_members(1).to_vec();
+        let first_layer = overlay.layer_members(1);
         let prior = stochastic_round(
             rng,
             first_layer.len() as f64 * self.params.prior_knowledge().value(),
         )
         .min(first_layer.len() as u64) as usize;
-        for node in sample_from(rng, &first_layer, prior) {
+        pool.sampler.sample_from_into(rng, first_layer, prior, picks);
+        for &node in picks.iter() {
             knowledge.disclose(node);
+            if let Some(m) = monitor.as_deref_mut() {
+                m.layering.learn(node, 1);
+            }
             outcome.disclosed.push(node);
             outcome.trace.record(AttackEvent::PriorKnowledge { node });
         }
@@ -83,25 +117,29 @@ impl SuccessiveAttacker {
             if beta == 0 {
                 break;
             }
-            let pending = knowledge.pending_sorted();
+            pending.clear();
+            pending.extend(knowledge.pending().iter());
             let x = pending.len();
-            let alpha = quotas[(round - 1) as usize] as usize;
+            // Round quota α: the largest-remainder split of N_T over R
+            // equal rounds gives the first N_T mod R rounds one extra.
+            let alpha = n_t / r as usize + usize::from(((round - 1) as usize) < n_t % r as usize);
 
-            // Algorithm 1 case selection.
-            let (deterministic_targets, random_count, terminal, case) = if x >= beta {
+            // Algorithm 1 case selection; `pending` becomes the round's
+            // deterministic targets.
+            let (random_count, terminal, case) = if x >= beta {
                 // Case 4: more disclosed nodes than budget.
-                (sample_from(rng, &pending, beta), 0usize, true, 4u8)
+                pool.sampler.sample_from_into(rng, pending, beta, picks);
+                std::mem::swap(pending, picks);
+                (0usize, true, 4u8)
             } else if beta <= alpha {
                 // Case 2: the whole remaining budget fits this round.
-                (pending.clone(), beta - x, true, 2)
+                (beta - x, true, 2)
             } else if x < alpha {
-                // Case 1: quota covers the disclosed nodes with room to
-                // spare.
-                (pending.clone(), alpha - x, false, 1)
+                // Case 1: the quota covers the disclosed nodes, with room to spare.
+                (alpha - x, false, 1)
             } else {
-                // Case 3: disclosed nodes exceed the quota (borrow from
-                // β) but not the whole budget.
-                (pending.clone(), 0usize, false, 3)
+                // Case 3: disclosed nodes exceed the quota (borrow from β) but not β.
+                (0, false, 3)
             };
             outcome.trace.record(AttackEvent::RoundPlan {
                 round,
@@ -109,42 +147,36 @@ impl SuccessiveAttacker {
                 known: x as u32,
             });
 
-            let mut broken_this_round = 0usize;
+            let broken_before = outcome.broken.len();
             let mut newly_disclosed = 0usize;
-            let attempted_disclosed = deterministic_targets.len();
-            for node in deterministic_targets {
-                let before = outcome.broken.len();
+            for &node in pending.iter() {
                 newly_disclosed +=
-                    attempt_break_in(overlay, &mut knowledge, &mut outcome, node, round, rng);
-                broken_this_round += outcome.broken.len() - before;
+                    attempt_break_in(overlay, knowledge, &mut outcome, node, round, rng);
             }
 
             // Random phase: untouched overlay nodes only (never re-attack
             // and never waste budget on nodes already known — those were
-            // either just attacked or are queued for the next round).
-            let mut attempted_random = 0usize;
-            if random_count > 0 {
-                let candidates: Vec<NodeId> = overlay
-                    .overlay_ids()
-                    .filter(|&id| !knowledge.has_attempted(id) && !knowledge.knows(id))
-                    .collect();
-                let picks = sample_from(rng, &candidates, random_count.min(candidates.len()));
-                attempted_random = picks.len();
-                for node in picks {
-                    let before = outcome.broken.len();
-                    newly_disclosed +=
-                        attempt_break_in(overlay, &mut knowledge, &mut outcome, node, round, rng);
-                    broken_this_round += outcome.broken.len() - before;
-                }
+            // either just attacked or are queued for the next round),
+            // drawn by rank over the words of `!(attempted | known_sos)`.
+            let (attempted, known) = (knowledge.attempted(), knowledge.known_sos());
+            let untouched = overlay_words(big_n, |wi| !(attempted.word(wi) | known.word(wi)));
+            pool.draw(untouched, rng, random_count, picks);
+            for &node in picks.iter() {
+                newly_disclosed +=
+                    attempt_break_in(overlay, knowledge, &mut outcome, node, round, rng);
+            }
+            if let Some(m) = monitor.as_deref_mut() {
+                newly_disclosed +=
+                    m.tap(overlay, knowledge, &mut outcome, broken_before, round, rng);
             }
 
-            beta -= attempted_disclosed + attempted_random;
+            beta -= pending.len() + picks.len();
             outcome.rounds.push(RoundSummary {
                 round,
                 known_at_start: x,
-                attempted_disclosed,
-                attempted_random,
-                broken: broken_this_round,
+                attempted_disclosed: pending.len(),
+                attempted_random: picks.len(),
+                broken: outcome.broken.len() - broken_before,
                 newly_disclosed,
             });
             if terminal {
@@ -154,13 +186,7 @@ impl SuccessiveAttacker {
 
         outcome.leftover_disclosed = knowledge.pending().len();
         timer.lap(PhaseKind::BreakIn);
-        execute_congestion_phase(
-            overlay,
-            &knowledge,
-            self.budget.congestion_capacity as usize,
-            rng,
-            &mut outcome,
-        );
+        execute_congestion_phase(overlay, scratch, self.budget, rng, &mut outcome);
         timer.lap(PhaseKind::Congestion);
         outcome
     }

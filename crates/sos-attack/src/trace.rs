@@ -79,6 +79,13 @@ impl AttackTrace {
         Self::default()
     }
 
+    /// An empty trace with room for `events` events.
+    pub(crate) fn with_capacity(events: usize) -> Self {
+        AttackTrace {
+            events: Vec::with_capacity(events),
+        }
+    }
+
     /// Appends an event.
     pub fn record(&mut self, event: AttackEvent) {
         self.events.push(event);

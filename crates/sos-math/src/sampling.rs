@@ -7,7 +7,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Draws `k` distinct indices uniformly from `0..n` using a partial
-/// Fisher–Yates shuffle (O(k) extra space via a sparse swap map).
+/// Fisher–Yates shuffle (a one-shot [`IndexSampler`] draw).
 ///
 /// # Panics
 ///
@@ -26,32 +26,21 @@ use rand::Rng;
 /// assert_eq!(sorted.len(), 5); // all distinct
 /// ```
 pub fn sample_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct items from {n}");
-    use std::collections::HashMap;
-    let mut swaps: HashMap<usize, usize> = HashMap::with_capacity(k * 2);
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        let vi = *swaps.get(&i).unwrap_or(&i);
-        let vj = *swaps.get(&j).unwrap_or(&j);
-        out.push(vj);
-        swaps.insert(j, vi);
-        swaps.insert(i, vj);
-    }
+    let mut out = Vec::new();
+    IndexSampler::new().sample_indices_into(rng, n, k, &mut out);
     out
 }
 
 /// Draws `k` distinct elements from `items` without replacement, cloning
-/// the chosen elements.
+/// the chosen elements (a one-shot [`IndexSampler`] draw).
 ///
 /// # Panics
 ///
 /// Panics if `k > items.len()`.
 pub fn sample_from<R: Rng + ?Sized, T: Clone>(rng: &mut R, items: &[T], k: usize) -> Vec<T> {
-    sample_indices(rng, items.len(), k)
-        .into_iter()
-        .map(|i| items[i].clone())
-        .collect()
+    let mut out = Vec::new();
+    IndexSampler::new().sample_from_into(rng, items, k, &mut out);
+    out
 }
 
 /// Splits `total` items into integer bucket sizes proportional to `weights`
@@ -181,31 +170,26 @@ pub const fn stream_seed(seed: u64, stream: u64, index: u64) -> u64 {
     splitmix64(splitmix64(seed ^ splitmix64(stream)).wrapping_add(splitmix64(index)))
 }
 
-/// Draw counts at or below this use the linear-probe swap list instead
-/// of the hash map: at most `2k` live entries means a handful of
-/// word-sized comparisons beat hashing by a wide margin for the
-/// entry-sampling draws (`k` ≈ the first-layer mapping degree) that
-/// dominate the route kernel.
-const LINEAR_SWAP_MAX: usize = 64;
-
-/// Allocation-reusing counterpart to [`sample_indices`] / [`sample_from`].
+/// The one partial Fisher–Yates sampler behind [`sample_indices`] and
+/// [`sample_from`].
 ///
-/// Draws the same partial Fisher–Yates sequence as the free functions —
-/// byte-for-byte identical RNG consumption — but keeps the sparse swap
-/// state alive between calls so steady-state sampling performs no heap
-/// allocation. Hot loops (the zero-rebuild trial engine) hold one sampler
-/// per worker.
+/// Pick `i` draws `j = gen_range(i..n)` — exactly one RNG call per pick
+/// — and swaps virtual positions `i` and `j` of the identity
+/// permutation. Displaced positions live in a dense slot table of `n`
+/// entries (`value + 1`, with `0` meaning "unmoved"), reset through the
+/// touched positions after each draw so it is all-zero between draws:
+/// each pick costs two table reads and two writes, whatever `k` and
+/// `n` are.
 ///
-/// Small draws (`k ≤ 64`, the route-kernel entry-sampling case) track
-/// their swaps in a linear `(key, value)` list — the map holds at most
-/// `2k` entries, so a linear probe is faster than any hashing — while
-/// large draws fall back to the hash map. The backend is invisible in
-/// the draws: only `gen_range(i..n)` touches the RNG, exactly once per
-/// pick, in both.
+/// Keeping the table alive between calls makes steady-state sampling
+/// allocation-free: hot loops (the trial engine, the route kernel, the
+/// overlay build) hold one sampler per worker.
 #[derive(Debug, Default, Clone)]
 pub struct IndexSampler {
-    swaps: std::collections::HashMap<usize, usize>,
-    small: Vec<(usize, usize)>,
+    /// `slots[p] = value + 1` for displaced positions, `0` elsewhere.
+    slots: Vec<u32>,
+    /// Positions `j ≥ k` written during the current draw.
+    touched: Vec<u32>,
 }
 
 impl IndexSampler {
@@ -217,8 +201,6 @@ impl IndexSampler {
     /// Draws `k` distinct indices uniformly from `0..n` into `out`
     /// (cleared first), reusing this sampler's scratch space.
     ///
-    /// The RNG draw sequence is identical to [`sample_indices`].
-    ///
     /// # Panics
     ///
     /// Panics if `k > n`.
@@ -229,36 +211,13 @@ impl IndexSampler {
         k: usize,
         out: &mut Vec<usize>,
     ) {
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
         out.clear();
         out.reserve(k);
-        if k <= LINEAR_SWAP_MAX {
-            self.small.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = linear_get(&self.small, i);
-                let vj = linear_get(&self.small, j);
-                out.push(vj);
-                linear_set(&mut self.small, j, vi);
-                linear_set(&mut self.small, i, vj);
-            }
-        } else {
-            self.swaps.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = *self.swaps.get(&i).unwrap_or(&i);
-                let vj = *self.swaps.get(&j).unwrap_or(&j);
-                out.push(vj);
-                self.swaps.insert(j, vi);
-                self.swaps.insert(i, vj);
-            }
-        }
+        self.draw(rng, n, k, |v| out.push(v));
     }
 
     /// Draws `k` distinct elements from `items` without replacement into
     /// `out` (cleared first), cloning the chosen elements.
-    ///
-    /// The RNG draw sequence is identical to [`sample_from`].
     ///
     /// # Panics
     ///
@@ -270,50 +229,49 @@ impl IndexSampler {
         k: usize,
         out: &mut Vec<T>,
     ) {
-        let n = items.len();
-        assert!(k <= n, "cannot sample {k} distinct items from {n}");
         out.clear();
         out.reserve(k);
-        if k <= LINEAR_SWAP_MAX {
-            self.small.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = linear_get(&self.small, i);
-                let vj = linear_get(&self.small, j);
-                out.push(items[vj].clone());
-                linear_set(&mut self.small, j, vi);
-                linear_set(&mut self.small, i, vj);
-            }
-        } else {
-            self.swaps.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                let vi = *self.swaps.get(&i).unwrap_or(&i);
-                let vj = *self.swaps.get(&j).unwrap_or(&j);
-                out.push(items[vj].clone());
-                self.swaps.insert(j, vi);
-                self.swaps.insert(i, vj);
+        self.draw(rng, items.len(), k, |v| out.push(items[v].clone()));
+    }
+
+    /// The partial Fisher–Yates draw, handing each pick to `emit` in
+    /// draw order.
+    fn draw<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        n: usize,
+        k: usize,
+        mut emit: impl FnMut(usize),
+    ) {
+        assert!(k <= n, "cannot sample {k} distinct items from {n}");
+        if k == 0 {
+            return;
+        }
+        assert!(n < u32::MAX as usize, "cannot sample from {n} items");
+        if self.slots.len() < n {
+            self.slots.resize(n, 0);
+        }
+        let slots = &mut self.slots[..n];
+        let get = |slots: &[u32], p: usize| match slots[p] {
+            0 => p,
+            v => v as usize - 1,
+        };
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            let vi = get(slots, i);
+            let vj = get(slots, j);
+            emit(vj);
+            slots[j] = vi as u32 + 1;
+            slots[i] = vj as u32 + 1;
+            if j >= k {
+                self.touched.push(j as u32);
             }
         }
-    }
-}
-
-/// Linear-probe lookup in the small swap list: identity when absent
-/// (mirroring the hash map's `get(&i).unwrap_or(&i)`).
-#[inline]
-fn linear_get(swaps: &[(usize, usize)], key: usize) -> usize {
-    swaps
-        .iter()
-        .find(|&&(k, _)| k == key)
-        .map_or(key, |&(_, v)| v)
-}
-
-/// Linear-probe upsert in the small swap list.
-#[inline]
-fn linear_set(swaps: &mut Vec<(usize, usize)>, key: usize, value: usize) {
-    match swaps.iter_mut().find(|&&mut (k, _)| k == key) {
-        Some(entry) => entry.1 = value,
-        None => swaps.push((key, value)),
+        slots[..k].fill(0);
+        for &j in &self.touched {
+            slots[j as usize] = 0;
+        }
+        self.touched.clear();
     }
 }
 
@@ -447,6 +405,65 @@ mod tests {
             assert_eq!(sample_from(&mut a, &items, kk), items_buf);
             // Both RNGs must also be left in the same state.
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    /// The sparse hash-map partial Fisher–Yates that the dense sampler
+    /// replaced: the oracle every backend must match draw for draw.
+    fn oracle_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
+        use std::collections::HashMap;
+        assert!(k <= n);
+        let mut swaps: HashMap<usize, usize> = HashMap::new();
+        let mut out = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = rng.gen_range(i..n);
+            let vi = *swaps.get(&i).unwrap_or(&i);
+            let vj = *swaps.get(&j).unwrap_or(&j);
+            out.push(vj);
+            swaps.insert(j, vi);
+            swaps.insert(i, vj);
+        }
+        out
+    }
+
+    #[test]
+    fn sampler_matches_hash_map_oracle_draw_for_draw() {
+        // One sampler across growing and shrinking populations: a slot
+        // left displaced by an earlier, larger draw would show up as a
+        // wrong pick in a later one.
+        let mut sampler = IndexSampler::new();
+        let mut idx_out = Vec::new();
+        let mut item_out = Vec::new();
+        let sizes = [
+            1usize, 64, 65, 200, 1_000, 20_000, 300, 65, 5_000, 20_000, 2,
+        ];
+        for (case, &n) in sizes.iter().enumerate() {
+            let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            for k in [0usize, 1, 64, 65, 200, n].into_iter().filter(|&k| k <= n) {
+                let seed = (case * 1_000 + k) as u64;
+                let rngs = || StdRng::seed_from_u64(seed);
+                let (mut a, mut b, mut c, mut d, mut e) = (rngs(), rngs(), rngs(), rngs(), rngs());
+                let expect = oracle_indices(&mut a, n, k);
+                sampler.sample_indices_into(&mut b, n, k, &mut idx_out);
+                assert_eq!(idx_out, expect, "sampler indices n={n} k={k}");
+                assert_eq!(
+                    sample_indices(&mut c, n, k),
+                    expect,
+                    "free indices n={n} k={k}"
+                );
+                let expect_items: Vec<u64> = expect.iter().map(|&i| items[i]).collect();
+                sampler.sample_from_into(&mut d, &items, k, &mut item_out);
+                assert_eq!(item_out, expect_items, "sampler items n={n} k={k}");
+                assert_eq!(
+                    sample_from(&mut e, &items, k),
+                    expect_items,
+                    "free items n={n} k={k}"
+                );
+                let next = a.gen::<u64>();
+                for rng in [&mut b, &mut c, &mut d, &mut e] {
+                    assert_eq!(rng.gen::<u64>(), next, "RNG state after n={n} k={k}");
+                }
+            }
         }
     }
 

@@ -8,9 +8,8 @@
 //! branch-free membership tests, O(words) clear, and zero steady-state
 //! allocation once the backing vector has grown to the overlay size.
 //!
-//! Iteration order is ascending [`NodeId`], which matches the
-//! `pending_sorted()` / `congestion_targets()` ordering contract the
-//! attack models rely on for reproducibility.
+//! Iteration order is ascending [`NodeId`]: the order the attack models
+//! draw their targets in, which keeps them reproducible.
 
 use crate::node::NodeId;
 
@@ -210,7 +209,7 @@ impl NodeBitSet {
 /// as a `Vec<NodeId>`: ascending bit index equals ascending rank, which
 /// is exactly the ordering contract of the `Vec`-based samplers it
 /// replaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WordSelect {
     words: Vec<u64>,
     /// `prefix[i]` = number of set bits in `words[..i]`.
@@ -219,21 +218,19 @@ pub struct WordSelect {
 }
 
 impl WordSelect {
-    /// Builds the directory from a word stream (64 indices per word,
-    /// LSB-first, same layout as [`NodeBitSet::words`]).
-    pub fn from_words(words: impl Iterator<Item = u64>) -> Self {
-        let words: Vec<u64> = words.collect();
-        let mut prefix = Vec::with_capacity(words.len());
+    /// Rebuilds the directory in place from a word stream (64 indices
+    /// per word, LSB-first, same layout as [`NodeBitSet::words`]),
+    /// keeping the allocations.
+    pub fn rebuild(&mut self, words: impl Iterator<Item = u64>) {
+        self.words.clear();
+        self.words.extend(words);
+        self.prefix.clear();
         let mut running = 0u32;
-        for &w in &words {
-            prefix.push(running);
+        for &w in &self.words {
+            self.prefix.push(running);
             running += w.count_ones();
         }
-        Self {
-            words,
-            prefix,
-            count: running as usize,
-        }
+        self.count = running as usize;
     }
 
     /// Total number of set bits.
@@ -250,30 +247,17 @@ impl WordSelect {
         assert!(rank < self.count, "select rank {rank} out of {}", self.count);
         // Last word whose prefix popcount is <= rank.
         let wi = self.prefix.partition_point(|&p| p as usize <= rank) - 1;
-        // In-word select by popcount bisection: six halving steps
-        // instead of clearing up to 63 low bits one at a time.
-        let mut w = self.words[wi];
-        let mut j = (rank - self.prefix[wi] as usize) as u32;
-        let mut pos = 0usize;
-        let mut shift = 32u32;
-        while shift > 0 {
-            let low = (w & ((1u64 << shift) - 1)).count_ones();
-            if j >= low {
-                j -= low;
-                w >>= shift;
-                pos += shift as usize;
-            }
-            shift >>= 1;
-        }
-        wi * WORD_BITS + pos
+        wi * WORD_BITS + select_in_word(self.words[wi], rank as u64 - u64::from(self.prefix[wi]))
     }
 
-    /// All member bit indices, ascending — `indices()[r]` equals
-    /// `select(r)`. Cheaper than per-rank [`select`](Self::select) when
-    /// a caller resolves a large fraction of the ranks, at the cost of
-    /// materializing the whole membership once.
-    pub fn indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count);
+    /// Writes all member bit indices, ascending, into `out` (cleared
+    /// first) — `out[r]` equals `select(r)`. Cheaper than per-rank
+    /// [`select`](Self::select) when a caller resolves a large fraction
+    /// of the ranks, at the cost of materializing the whole membership
+    /// once.
+    pub fn indices_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.reserve(self.count);
         for (wi, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -281,8 +265,29 @@ impl WordSelect {
                 w &= w - 1;
             }
         }
-        out
     }
+}
+
+/// The index of the `j`-th set bit of `w` (0-based, `j < popcount(w)`),
+/// broadword: one multiply turns the byte popcounts into running sums,
+/// a borrow-free byte compare counts the bytes wholly before the
+/// answer, and a scan of at most seven bits finishes inside its byte.
+/// Branch-free up to that scan, and no popcount instruction needed.
+fn select_in_word(w: u64, j: u64) -> usize {
+    const BYTES: u64 = 0x0101_0101_0101_0101;
+    let s = w - ((w >> 1) & 0x5555_5555_5555_5555);
+    let s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    // Byte b holds the number of set bits in bytes 0..=b.
+    let sums = ((s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F).wrapping_mul(BYTES);
+    // High bit of byte b set iff sums[b] <= j (both < 128: no borrows).
+    let before = ((j * BYTES) | (0x80 * BYTES)).wrapping_sub(sums) & (0x80 * BYTES);
+    let byte = ((before >> 7).wrapping_mul(BYTES) >> 56) as usize;
+    let seen = ((sums << 8) >> (8 * byte)) & 0xFF;
+    let mut x = (w >> (8 * byte)) & 0xFF;
+    for _ in seen..j {
+        x &= x - 1;
+    }
+    8 * byte + x.trailing_zeros() as usize
 }
 
 impl NodeBitSet {
@@ -456,27 +461,47 @@ mod tests {
     fn word_select_matches_linear_scan() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        // One directory rebuilt across sets of varying size: nothing
+        // from a larger earlier set may leak into a smaller later one.
+        let mut sel = WordSelect::default();
+        let mut indices = Vec::new();
         for _ in 0..50 {
             let n = rng.gen_range(1..400usize);
             let set: NodeBitSet = (0..n as u32)
                 .filter(|_| rng.gen_range(0..4u8) != 0)
                 .map(NodeId)
                 .collect();
-            let sel = WordSelect::from_words(set.words().iter().copied());
+            sel.rebuild(set.words().iter().copied());
             let members = set.to_sorted_vec();
             assert_eq!(sel.count(), members.len());
             for (rank, id) in members.iter().enumerate() {
                 assert_eq!(sel.select(rank), id.index());
             }
             let ids: Vec<u32> = members.iter().map(|id| id.index() as u32).collect();
-            assert_eq!(sel.indices(), ids);
+            sel.indices_into(&mut indices);
+            assert_eq!(indices, ids);
+        }
+    }
+
+    #[test]
+    fn select_in_word_matches_bit_by_bit_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let edges = [1u64, 1 << 63, !0, 0x8000_0000_0000_0001, 0xFF00_0000_0000_00FF];
+        let random = (0..2_000).map(|_| rng.gen::<u64>() & rng.gen::<u64>());
+        for w in edges.into_iter().chain(random).filter(|&w| w != 0) {
+            let bits: Vec<usize> = (0..64).filter(|&b| w >> b & 1 == 1).collect();
+            for (j, &bit) in bits.iter().enumerate() {
+                assert_eq!(select_in_word(w, j as u64), bit, "word {w:#x}, j {j}");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "select rank")]
     fn word_select_panics_out_of_range() {
-        let sel = WordSelect::from_words([0b101u64].into_iter());
+        let mut sel = WordSelect::default();
+        sel.rebuild([0b101u64].into_iter());
         sel.select(2);
     }
 

@@ -50,12 +50,12 @@ use crate::spec::{analyze_doc, analyze_outcome};
 use serde_json::Value;
 use sos_observe::telemetry::{self, PhaseKind, TelemetrySnapshot};
 use sos_observe::trace;
-use sos_sim::{config_fingerprint, SweepExecutor};
+use sos_sim::{config_fingerprint, SweepExecutor, SweepStats};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a connection may sit idle between requests during normal
@@ -143,6 +143,9 @@ pub struct ServerReport {
 /// thread.
 struct Shared {
     exec: Mutex<SweepExecutor>,
+    /// The executor's counters as of the last executor-bound request,
+    /// so `GET /healthz` never waits on a running compute.
+    health: Mutex<ExecutorHealth>,
     shutdown: AtomicBool,
     connections: AtomicU64,
     requests: AtomicU64,
@@ -172,9 +175,32 @@ struct Shared {
     addr: SocketAddr,
 }
 
+/// What `/healthz` reports about the executor: a copy taken under the
+/// executor lock at bind and whenever an [`ExecutorGuard`] is dropped.
+#[derive(Debug, Clone, Copy)]
+struct ExecutorHealth {
+    sweep: SweepStats,
+    cached_points: usize,
+    /// When the main cache file was last rewritten in full.
+    persisted_at: Option<Instant>,
+}
+
+impl ExecutorHealth {
+    fn of(exec: &SweepExecutor) -> Self {
+        ExecutorHealth {
+            sweep: exec.stats(),
+            cached_points: exec.cached_points(),
+            persisted_at: exec
+                .last_persist_age()
+                .and_then(|age| Instant::now().checked_sub(age)),
+        }
+    }
+}
+
 impl Shared {
     fn new(exec: SweepExecutor, opts: &ServerOptions, addr: SocketAddr) -> Shared {
         Shared {
+            health: Mutex::new(ExecutorHealth::of(&exec)),
             exec: Mutex::new(exec),
             shutdown: AtomicBool::new(false),
             connections: AtomicU64::new(0),
@@ -394,6 +420,36 @@ impl ServerHandle {
     }
 }
 
+/// The executor lock, held for one request. Dropping it first copies
+/// the executor's counters into [`Shared::health`] — while the lock is
+/// still held, so the copy is consistent — and then releases the lock.
+struct ExecutorGuard<'a> {
+    shared: &'a Shared,
+    exec: MutexGuard<'a, SweepExecutor>,
+}
+
+impl std::ops::Deref for ExecutorGuard<'_> {
+    type Target = SweepExecutor;
+    fn deref(&self) -> &SweepExecutor {
+        &self.exec
+    }
+}
+
+impl std::ops::DerefMut for ExecutorGuard<'_> {
+    fn deref_mut(&mut self) -> &mut SweepExecutor {
+        &mut self.exec
+    }
+}
+
+impl Drop for ExecutorGuard<'_> {
+    fn drop(&mut self) {
+        // Every write stores a whole snapshot, so a poisoned lock still
+        // holds a valid one.
+        *self.shared.health.lock().unwrap_or_else(PoisonError::into_inner) =
+            ExecutorHealth::of(&self.exec);
+    }
+}
+
 /// Locks the shared executor, containing the blast radius of a panic
 /// in a previous request: a poisoned lock means some request unwound
 /// mid-execution and the in-memory executor state (pool bookkeeping,
@@ -402,8 +458,8 @@ impl ServerHandle {
 /// rebuilt from scratch and re-warmed from the persisted cache file —
 /// the crash-safe store that journaled every completed point — so the
 /// daemon loses at most the panicking request, never its memory.
-fn lock_executor<'a>(shared: &'a Shared) -> std::sync::MutexGuard<'a, SweepExecutor> {
-    match shared.exec.lock() {
+fn lock_executor(shared: &Shared) -> ExecutorGuard<'_> {
+    let exec = match shared.exec.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
             let mut guard = poisoned.into_inner();
@@ -430,7 +486,8 @@ fn lock_executor<'a>(shared: &'a Shared) -> std::sync::MutexGuard<'a, SweepExecu
             );
             guard
         }
-    }
+    };
+    ExecutorGuard { shared, exec }
 }
 
 /// Appends diagnostic text (slow-request lines, anomaly dumps) to the
@@ -955,13 +1012,15 @@ fn elapsed_ns(start: Instant) -> u64 {
 
 /// The health/progress document served at `GET /healthz`: server
 /// status and counters wrapping the live telemetry snapshot (same keys
-/// as the JSONL reporter sink).
+/// as the JSONL reporter sink). The executor fields come from
+/// [`Shared::health`], never from the executor lock, so a probe answers
+/// while a compute or sweep runs.
 fn health_json(shared: &Shared) -> String {
-    let exec_stats = {
-        let exec = lock_executor(shared);
-        (exec.stats(), exec.cached_points(), exec.last_persist_age())
-    };
-    let (sweep, cached_points, persist_age) = exec_stats;
+    let ExecutorHealth {
+        sweep,
+        cached_points,
+        persisted_at,
+    } = *shared.health.lock().unwrap_or_else(PoisonError::into_inner);
     let status = if shared.shutdown.load(Ordering::SeqCst) {
         "draining"
     } else {
@@ -970,8 +1029,8 @@ fn health_json(shared: &Shared) -> String {
     // Seconds since the cache file was last compacted to disk; `null`
     // until the first persist (journal appends do not count — they are
     // durable the moment a point completes).
-    let last_persist_age_s = match persist_age {
-        Some(age) => format!("{:.3}", age.as_secs_f64()),
+    let last_persist_age_s = match persisted_at {
+        Some(at) => format!("{:.3}", at.elapsed().as_secs_f64()),
         None => String::from("null"),
     };
     let snap = telemetry::snapshot();
@@ -1153,6 +1212,41 @@ mod tests {
             "message names progress: {}",
             err.message
         );
+    }
+
+    #[test]
+    fn healthz_answers_while_the_executor_is_busy() {
+        let opts = ServerOptions { threads: Some(1), ..ServerOptions::default() };
+        let shared = Arc::new(test_shared(&opts));
+        let busy = shared.exec.lock().expect("fresh lock");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = Arc::clone(&shared);
+        let prober = std::thread::spawn(move || tx.send(health_json(&probe)));
+        let doc = rx
+            .recv_timeout(Duration::from_millis(500))
+            .expect("healthz must not wait for the executor lock");
+        assert!(doc.contains("\"status\":\"ok\""), "{doc}");
+        drop(busy);
+        prober.join().expect("probe thread").expect("probe sent");
+
+        // A finished request publishes its counters exactly.
+        for _ in 0..2 {
+            execute(
+                Request::Simulate { spec: tiny_spec(), deadline_ms: None },
+                &shared,
+                Instant::now(),
+                &mut RequestTiming::default(),
+            )
+            .expect("tiny simulate runs");
+        }
+        let doc: Value = serde_json::from_str(&health_json(&shared)).expect("healthz is JSON");
+        let sweep = |key: &str| doc["sweep"][key].as_u64();
+        assert_eq!(sweep("points"), Some(2));
+        assert_eq!(sweep("cache_hits"), Some(1));
+        assert_eq!(sweep("points_executed"), Some(1));
+        assert_eq!(sweep("trials_executed"), Some(tiny_spec().trials));
+        assert_eq!(sweep("cached_points"), Some(1));
+        assert_eq!(doc["last_persist_age_s"], Value::Null, "no cache attached");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use sos_attack::{OneBurstAttacker, SuccessiveAttacker};
+use sos_attack::{AttackScratch, MonitoringAttacker, OneBurstAttacker, SuccessiveAttacker};
 use sos_core::{AttackConfig, PathEvaluator, Scenario};
 use sos_faults::{Fallback, FaultConfig, FaultPlan, HopIncident, RetryPolicy};
 use sos_math::stats::{proportion_ci, ConfidenceInterval, RunningStats, SummaryStats};
@@ -437,10 +437,10 @@ const BUILD_SLOTS: usize = 8;
 /// the allocations survive, the contents do not (unless the memo proves
 /// they are already right).
 ///
-/// The remaining per-trial allocations are the attacker's knowledge and
-/// trace (owned by the attack outcome, which outlives the trial for
-/// observability) and backtracking path frames; everything on the
-/// overlay/ring/routing hot path is reused.
+/// The remaining per-trial allocations are the attack outcome's lists
+/// and trace (which outlive the trial for observability) and
+/// backtracking path frames; everything on the overlay/ring/attack/
+/// routing hot path is reused.
 pub(crate) struct TrialScratch {
     slots: Vec<BuildSlot>,
     /// Slot budget: 1 for one-shot scratches, [`BUILD_SLOTS`] for
@@ -458,6 +458,8 @@ pub(crate) struct TrialScratch {
     /// Per-lane state of the batched route kernel (lane RNGs, candidate
     /// buffers, results, the per-trial Chord hop memo).
     batch: RouteBatchScratch,
+    /// The attacker's knowledge bitsets, sampler and draw buffers.
+    attack: AttackScratch,
 }
 
 impl TrialScratch {
@@ -483,13 +485,15 @@ impl TrialScratch {
             ring_alive: NodeBitSet::new(),
             route: RouteScratch::new(),
             batch: RouteBatchScratch::new(),
+            attack: AttackScratch::default(),
         }
     }
 
     /// Produces this trial's overlay + transport, reusing a memoized
     /// build when one matches. Returns disjoint borrows of the overlay,
     /// the transport to route through, the ring membership, the route
-    /// scratch and the liveness mask.
+    /// scratch, the liveness mask, the route-kernel scratch and the
+    /// attack scratch.
     ///
     /// Reuse tiers (all bit-identical to a fresh build, pinned by
     /// `sos-overlay` tests):
@@ -517,6 +521,7 @@ impl TrialScratch {
         &mut RouteScratch,
         &mut NodeBitSet,
         &mut RouteBatchScratch,
+        &mut AttackScratch,
     ) {
         self.clock += 1;
         // Exact key first; a structure-preserving delta only as a
@@ -638,6 +643,7 @@ impl TrialScratch {
             &mut self.route,
             &mut self.ring_alive,
             &mut self.batch,
+            &mut self.attack,
         )
     }
 }
@@ -917,7 +923,7 @@ impl Simulation {
         // trials reuse a memoized build when the seeds/scenario match
         // and rebuild in place otherwise (both bit-identical to a fresh
         // build — memo hits skip work, never change it).
-        let (overlay, transport, members, route_scratch, ring_alive, route_batch) =
+        let (overlay, transport, members, route_scratch, ring_alive, route_batch, attack) =
             scratch.prepare(cfg, self.exec.build_reuse, overlay_seed, ring_seed);
         timer.lap(PhaseKind::Build);
 
@@ -950,14 +956,14 @@ impl Simulation {
 
         let outcome = match (cfg.attack, cfg.monitoring_tap) {
             (AttackConfig::OneBurst { budget }, _) => {
-                OneBurstAttacker::new(budget).execute(overlay, &mut rng)
+                OneBurstAttacker::new(budget).execute_into(overlay, &mut rng, attack)
             }
             (AttackConfig::Successive { budget, params }, None) => {
-                SuccessiveAttacker::new(budget, params).execute(overlay, &mut rng)
+                SuccessiveAttacker::new(budget, params).execute_into(overlay, &mut rng, attack)
             }
             (AttackConfig::Successive { budget, params }, Some(tap)) => {
-                sos_attack::MonitoringAttacker::new(budget, params, tap)
-                    .execute(overlay, &mut rng)
+                MonitoringAttacker::new(budget, params, tap)
+                    .execute_into(overlay, &mut rng, attack)
                     .outcome
             }
         };
